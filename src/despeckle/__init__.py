@@ -4,133 +4,42 @@ Homomorphic wavelet-shrinkage despeckling whose threshold is calibrated
 by a fuzzy PI controller against a clean reference, plus multiplicative
 speckle simulation, median/Lee baseline filters, and a quality-metric
 suite (NMV/NV/NSD, MSD, ENL, DR, Pratt FOM).
+
+The package namespace re-exports the documented API; everything else is
+imported from its submodule (``despeckle.wavelet``, ``despeckle.fuzzy``, ...).
 """
 
-from .fuzzy import (
-    ControllerConfig,
-    MembershipBank,
-    RuleBase,
-    ScalarError,
-    control_step,
-    fuzzify,
-    infer,
-    output_surface,
-    scalarize,
-    surface_to_csv,
-)
-from .image import (
-    PgmError,
-    as_image,
-    exp_domain,
-    log_domain,
-    read_f64,
-    read_pgm,
-    subtract,
-    write_f64,
-    write_pgm,
-)
-from .metrics import (
-    MetricsConfig,
-    MetricsReport,
-    deflection_ratio,
-    detect_edges,
-    enl_blocked,
-    full_report,
-    msd,
-    nmv_nv_nsd,
-    pratt_fom,
-)
+from .fuzzy import scalarize
+from .image import read_pgm, subtract, write_pgm
+from .metrics import MetricsReport, enl_blocked, full_report, msd
 from .pipeline import (
     CalibrationResult,
     PipelineConfig,
     calibrate,
     despeckle,
     initial_threshold,
-    lee_filter,
-    median_filter_homomorphic,
-    shrink_once,
     trace_to_csv,
 )
-from .speckle import SpeckleSpec, apply_speckle, generate_speckle
-from .thresholding import (
-    ThresholdEstimate,
-    hard_threshold,
-    mad_sigma,
-    soft_threshold,
-    universal_threshold,
-)
-from .wavelet import (
-    FilterBank,
-    Subbands,
-    WaveletDecomposition,
-    bank_by_name,
-    daubechies_taps,
-    deserialize_spatial_order,
-    dwt2,
-    dwt2_level,
-    idwt2,
-    idwt2_level,
-    serialize_spatial_order,
-)
+from .speckle import SpeckleSpec, apply_speckle
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ControllerConfig",
-    "MembershipBank",
-    "RuleBase",
-    "ScalarError",
-    "control_step",
-    "fuzzify",
-    "infer",
-    "output_surface",
-    "scalarize",
-    "surface_to_csv",
-    "PgmError",
-    "as_image",
-    "exp_domain",
-    "log_domain",
-    "read_f64",
-    "read_pgm",
-    "subtract",
-    "write_f64",
-    "write_pgm",
-    "MetricsConfig",
-    "MetricsReport",
-    "deflection_ratio",
-    "detect_edges",
-    "enl_blocked",
-    "full_report",
-    "msd",
-    "nmv_nv_nsd",
-    "pratt_fom",
-    "CalibrationResult",
-    "PipelineConfig",
-    "calibrate",
-    "despeckle",
-    "initial_threshold",
-    "lee_filter",
-    "median_filter_homomorphic",
-    "shrink_once",
-    "trace_to_csv",
     "SpeckleSpec",
     "apply_speckle",
-    "generate_speckle",
-    "ThresholdEstimate",
-    "hard_threshold",
-    "mad_sigma",
-    "soft_threshold",
-    "universal_threshold",
-    "FilterBank",
-    "Subbands",
-    "WaveletDecomposition",
-    "bank_by_name",
-    "daubechies_taps",
-    "deserialize_spatial_order",
-    "dwt2",
-    "dwt2_level",
-    "idwt2",
-    "idwt2_level",
-    "serialize_spatial_order",
+    "calibrate",
+    "CalibrationResult",
+    "trace_to_csv",
+    "despeckle",
+    "full_report",
+    "MetricsReport",
+    "PipelineConfig",
+    "initial_threshold",
+    "scalarize",
+    "subtract",
+    "msd",
+    "enl_blocked",
+    "read_pgm",
+    "write_pgm",
     "__version__",
 ]

@@ -102,18 +102,17 @@ class ControllerConfig:
 
     ``e_scale``/``de_scale`` map raw errors into [-1, 1]; ``dlambda_scale``
     maps the normalized output to a raw threshold increment; ``k_p`` is an
-    outer proportional gain. ``t_i`` is kept for a linear-PI variant and is
-    unused by the table-driven controller (the table embodies the mixing).
+    outer proportional gain. There is no integral-time gain: the rule table
+    embodies the PI mixing.
     """
 
     e_scale: float
     de_scale: float
     dlambda_scale: float
     k_p: float = 1.0
-    t_i: float = 1.0
 
     def __post_init__(self):
-        for name in ("e_scale", "de_scale", "dlambda_scale", "k_p", "t_i"):
+        for name in ("e_scale", "de_scale", "dlambda_scale", "k_p"):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite, got {value}")

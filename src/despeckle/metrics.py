@@ -16,7 +16,8 @@ Seven assessment figures for a (clean, noisy, despeckled) triple:
   edge maps, penalizing detected-edge displacement by ``1/(1 + alpha d^2)``.
 
 Edge maps are plain boolean arrays produced by a Sobel magnitude detector
-thresholded at a fraction of its maximum.
+thresholded at a fraction of its maximum. FOM distances come from the
+Euclidean distance transform of the ideal map.
 """
 
 import math
@@ -39,11 +40,6 @@ __all__ = [
     "pratt_fom",
     "full_report",
 ]
-
-# Ideal-edge count above which FOM distances switch from the exact
-# brute-force route to the distance-transform route.
-_BRUTE_FORCE_LIMIT = 4096
-
 
 @dataclass(frozen=True)
 class MetricsConfig:
@@ -161,36 +157,16 @@ def detect_edges(img, tau: float = 0.2) -> np.ndarray:
     return magnitude >= tau * peak
 
 
-def nearest_edge_distances(detected: np.ndarray, ideal: np.ndarray, method: str = "auto") -> np.ndarray:
-    """Euclidean distance from each detected pixel to the nearest ideal pixel.
-
-    ``method`` selects the exact pairwise route ("brute"), the
-    distance-transform route ("edt"), or a size-based choice ("auto").
-    The two routes agree to float precision and cross-check each other in
-    the test suite.
-    """
+def nearest_edge_distances(detected: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each detected pixel to the nearest ideal pixel,
+    read off the exact Euclidean distance transform of the ideal map."""
     detected = np.asarray(detected, dtype=bool)
     ideal = np.asarray(ideal, dtype=bool)
     if detected.shape != ideal.shape:
         raise ValueError(f"shape mismatch: {detected.shape} vs {ideal.shape}")
     if not ideal.any():
         raise ValueError("ideal edge map is empty")
-    if method == "auto":
-        method = "brute" if int(ideal.sum()) <= _BRUTE_FORCE_LIMIT else "edt"
-    if method == "edt":
-        distances = ndimage.distance_transform_edt(~ideal)
-        return distances[detected]
-    if method != "brute":
-        raise ValueError(f"unknown method {method!r}")
-    det_pts = np.argwhere(detected).astype(np.float64)
-    ideal_pts = np.argwhere(ideal).astype(np.float64)
-    out = np.empty(det_pts.shape[0], dtype=np.float64)
-    chunk = 1024  # bounds the pairwise distance matrix
-    for start in range(0, det_pts.shape[0], chunk):
-        block = det_pts[start : start + chunk]
-        d2 = ((block[:, None, :] - ideal_pts[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + chunk] = np.sqrt(d2.min(axis=1))
-    return out
+    return ndimage.distance_transform_edt(~ideal)[detected]
 
 
 def pratt_fom(detected: np.ndarray, ideal: np.ndarray, alpha: float = 1.0 / 9.0) -> float:

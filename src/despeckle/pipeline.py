@@ -63,16 +63,14 @@ SEED_SUBBANDS = ("chd", "cvd", "cdd", "pooled")
 class PipelineConfig:
     """Shrinkage-chain configuration.
 
-    ``levels`` is fixed at 1: shrinkage is applied once, to the first
-    decomposition level only. ``seed_subband`` selects which detail block
-    feeds the initial noise estimate ("pooled" concatenates all three).
+    ``seed_subband`` selects which detail block feeds the initial noise
+    estimate ("pooled" concatenates all three).
     """
 
     wavelet: str = "haar"
     shrink: str = "hard"
     bias: float = 1.0
     seed_subband: str = "cdd"
-    levels: int = 1
 
     def __post_init__(self):
         if self.shrink not in SHRINKERS:
@@ -81,8 +79,6 @@ class PipelineConfig:
             raise ValueError(
                 f"seed_subband must be one of {SEED_SUBBANDS}, got {self.seed_subband!r}"
             )
-        if self.levels != 1:
-            raise ValueError("shrinkage is single-level; levels must be 1")
         if self.bias <= 0 or not np.isfinite(self.bias):
             raise ValueError(f"bias must be positive and finite, got {self.bias}")
         bank_by_name(self.wavelet)  # reject unknown names eagerly
@@ -93,12 +89,10 @@ class PipelineConfig:
 
 @dataclass
 class CalibrationState:
-    """Mutable loop state: current threshold, error history, best-so-far."""
+    """Mutable loop state: current threshold, previous error, best-so-far."""
 
     lam: float
     eh: float = 0.0
-    me: float = float("inf")
-    iteration: int = 0
     best_lam: float = 0.0
     best_me: float = float("inf")
 
@@ -147,13 +141,13 @@ def shrink_once(img, lam: float, cfg: PipelineConfig | None = None) -> np.ndarra
     if lam < 0:
         raise ValueError(f"threshold must be non-negative, got {lam}")
     arr = as_image(img)
-    dec = dwt2(log_domain(arr, cfg.bias), cfg.bank(), 1)
+    bank = cfg.bank()
+    sub = dwt2(log_domain(arr, cfg.bias), bank)
     shrink = SHRINKERS[cfg.shrink]
-    chd, cvd, cdd = dec.details[0]
     thresholded = replace(
-        dec, details=((shrink(chd, lam), shrink(cvd, lam), shrink(cdd, lam)),)
+        sub, chd=shrink(sub.chd, lam), cvd=shrink(sub.cvd, lam), cdd=shrink(sub.cdd, lam)
     )
-    out = exp_domain(idwt2(thresholded), cfg.bias)
+    out = exp_domain(idwt2(thresholded, bank), cfg.bias)
     return np.maximum(out, 0.0)
 
 
@@ -161,12 +155,16 @@ def initial_threshold(img, cfg: PipelineConfig | None = None) -> ThresholdEstima
     """Universal-threshold seed from the log-domain detail coefficients."""
     cfg = cfg or PipelineConfig()
     arr = as_image(img)
-    dec = dwt2(log_domain(arr, cfg.bias), cfg.bank(), 1)
-    chd, cvd, cdd = dec.details[0]
+    sub = dwt2(log_domain(arr, cfg.bias), cfg.bank())
     if cfg.seed_subband == "pooled":
-        coeffs = np.concatenate([chd.ravel(), cvd.ravel(), cdd.ravel()])
+        coeffs = np.concatenate([sub.chd.ravel(), sub.cvd.ravel(), sub.cdd.ravel()])
     else:
-        coeffs = {"chd": chd, "cvd": cvd, "cdd": cdd}[cfg.seed_subband].ravel()
+        coeffs = getattr(sub, cfg.seed_subband).ravel()
+    if coeffs.size < 2:
+        raise ValueError(
+            f"image {arr.shape} is too small to seed the threshold: the "
+            f"{cfg.seed_subband!r} subband holds {coeffs.size} coefficient(s), need at least 2"
+        )
     return universal_threshold(mad_sigma(coeffs), coeffs.size)
 
 
@@ -224,8 +222,7 @@ def calibrate(
         despeckled = shrink_once(noisy, state.lam, cfg)
         err = scalarize(subtract(clean, despeckled), state.eh)
         dlam = control_step(err, ctl)
-        state.me = abs(err.e)
-        state.iteration = iteration
+        me = abs(err.e)
         trace.append(
             TraceStep(
                 iteration=iteration,
@@ -233,14 +230,14 @@ def calibrate(
                 de=err.de,
                 dlambda=dlam,
                 lam=state.lam,
-                me=state.me,
+                me=me,
             )
         )
-        if state.me < state.best_me:
-            state.best_me = state.me
+        if me < state.best_me:
+            state.best_me = me
             state.best_lam = state.lam
         state.eh = err.e
-        if state.me <= epsilon:
+        if me <= epsilon:
             converged = True
             break
         state.lam = max(state.lam + dlam, 0.0)

@@ -1,4 +1,5 @@
-"""Separable 2-D discrete wavelet transform with orthogonal filter banks.
+"""Single-level separable 2-D discrete wavelet transform with orthogonal
+filter banks.
 
 Analysis filters the rows first, then the columns; synthesis runs the
 transpose order (columns, then rows). Boundaries are handled by periodic
@@ -6,20 +7,20 @@ extension, which makes every supported bank an orthonormal change of
 basis: round trips are exact to float precision and coefficient energy
 equals pixel energy.
 
-One analysis level splits an image into four half-size blocks:
+Analysis splits an image into four half-size blocks:
 
 * ``ca``  -- approximation (low/low),
 * ``chd`` -- horizontal detail (row-lowpass, column-highpass),
 * ``cvd`` -- vertical detail (row-highpass, column-lowpass),
 * ``cdd`` -- diagonal detail (high/high).
 
-The multi-level transform recurses on ``ca``. Odd-sized inputs are padded
-by edge replication to the next even size at each level and cropped back
-on synthesis; pre-pad shapes are recorded in the decomposition.
+Odd-sized inputs (including single rows and columns) are padded by edge
+replication to the next even size and cropped back on synthesis; the
+pre-pad shape is recorded in :class:`Subbands`.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +29,10 @@ from .image import as_image
 __all__ = [
     "FilterBank",
     "Subbands",
-    "WaveletDecomposition",
     "daubechies_taps",
     "bank_by_name",
-    "dwt2_level",
-    "idwt2_level",
     "dwt2",
     "idwt2",
-    "serialize_spatial_order",
-    "deserialize_spatial_order",
     "SUPPORTED_BANKS",
 ]
 
@@ -111,40 +107,23 @@ def bank_by_name(name: str) -> FilterBank:
 
 @dataclass(frozen=True)
 class Subbands:
-    """One analysis level: four equally sized coefficient blocks."""
+    """Four equally sized coefficient blocks and the pre-pad image shape."""
 
     ca: np.ndarray
     chd: np.ndarray
     cvd: np.ndarray
     cdd: np.ndarray
+    shape: tuple
 
     def __post_init__(self):
         shapes = {self.ca.shape, self.chd.shape, self.cvd.shape, self.cdd.shape}
         if len(shapes) != 1:
             raise ValueError(f"subband blocks must share dimensions, got {shapes}")
-
-
-@dataclass(frozen=True)
-class WaveletDecomposition:
-    """Multi-level decomposition: per-level detail triples plus the final ca.
-
-    ``details[i]`` holds the (chd, cvd, cdd) triple of level ``i + 1``;
-    ``input_shapes[i]`` is the pre-pad shape of the image analyzed at that
-    level, used to crop on synthesis.
-    """
-
-    details: tuple
-    ca: np.ndarray
-    bank: FilterBank
-    input_shapes: tuple
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
-    @property
-    def shape(self) -> tuple:
-        return self.input_shapes[0]
+        rows, cols = self.shape
+        if ((rows + 1) // 2, (cols + 1) // 2) != self.ca.shape:
+            raise ValueError(
+                f"image shape {self.shape} does not match subband blocks {self.ca.shape}"
+            )
 
 
 def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
@@ -172,157 +151,24 @@ def _synthesize_axis(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarra
     return out
 
 
-def dwt2_level(img, bank: FilterBank) -> Subbands:
-    """One separable analysis level with periodic extension; dims must be even."""
+def dwt2(img, bank: FilterBank) -> Subbands:
+    """One separable analysis level with periodic extension; odd sizes are
+    padded by edge replication."""
     x = as_image(img)
-    if x.shape[0] % 2 or x.shape[1] % 2:
-        raise ValueError(f"dwt2_level requires even dimensions, got {x.shape}")
+    rows, cols = x.shape
+    if rows % 2 or cols % 2:
+        x = np.pad(x, ((0, rows % 2), (0, cols % 2)), mode="edge")
     lo, hi = _analyze_axis(x, bank.lowpass, bank.highpass, axis=1)
     ca, chd = _analyze_axis(lo, bank.lowpass, bank.highpass, axis=0)
     cvd, cdd = _analyze_axis(hi, bank.lowpass, bank.highpass, axis=0)
-    return Subbands(ca=ca, chd=chd, cvd=cvd, cdd=cdd)
+    return Subbands(ca=ca, chd=chd, cvd=cvd, cdd=cdd, shape=(rows, cols))
 
 
-def idwt2_level(sub: Subbands, bank: FilterBank) -> np.ndarray:
-    """Exact synthesis inverse of :func:`dwt2_level` (columns, then rows)."""
+def idwt2(sub: Subbands, bank: FilterBank) -> np.ndarray:
+    """Exact synthesis inverse of :func:`dwt2` (columns, then rows), cropped
+    back to the pre-pad shape."""
     lo = _synthesize_axis(sub.ca, sub.chd, bank.lowpass, bank.highpass, axis=0)
     hi = _synthesize_axis(sub.cvd, sub.cdd, bank.lowpass, bank.highpass, axis=0)
-    return _synthesize_axis(lo, hi, bank.lowpass, bank.highpass, axis=1)
-
-
-def _pad_even(x: np.ndarray) -> np.ndarray:
-    pad_r = x.shape[0] % 2
-    pad_c = x.shape[1] % 2
-    if pad_r or pad_c:
-        x = np.pad(x, ((0, pad_r), (0, pad_c)), mode="edge")
-    return x
-
-
-def dwt2(img, bank: FilterBank, levels: int) -> WaveletDecomposition:
-    """Recursive multi-level analysis; pads odd sizes by edge replication."""
-    x = as_image(img)
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    if min(x.shape) < 2**levels:
-        raise ValueError(
-            f"{levels} levels exceed log2 of the smallest dimension for shape {x.shape}"
-        )
-    details = []
-    input_shapes = []
-    current = x
-    for _ in range(levels):
-        input_shapes.append(current.shape)
-        sub = dwt2_level(_pad_even(current), bank)
-        details.append((sub.chd, sub.cvd, sub.cdd))
-        current = sub.ca
-    return WaveletDecomposition(
-        details=tuple(details), ca=current, bank=bank, input_shapes=tuple(input_shapes)
-    )
-
-
-def idwt2(dec: WaveletDecomposition, bank: FilterBank | None = None) -> np.ndarray:
-    """Multi-level synthesis; crops each level back to its pre-pad shape."""
-    bank = dec.bank if bank is None else bank
-    ca = dec.ca
-    for level in range(dec.levels, 0, -1):
-        chd, cvd, cdd = dec.details[level - 1]
-        full = idwt2_level(Subbands(ca=ca, chd=chd, cvd=cvd, cdd=cdd), bank)
-        rows, cols = dec.input_shapes[level - 1]
-        ca = full[:rows, :cols]
-    return ca
-
-
-def _quad_order(rows: int, cols: int):
-    """Recursive quadrant traversal (TL, TR, BL, BR) of an index grid."""
-    order = []
-
-    def visit(r0, r1, c0, c1):
-        if r0 >= r1 or c0 >= c1:
-            return
-        if r1 - r0 == 1 and c1 - c0 == 1:
-            order.append((r0, c0))
-            return
-        rm = r0 + (r1 - r0 + 1) // 2
-        cm = c0 + (c1 - c0 + 1) // 2
-        visit(r0, rm, c0, cm)
-        visit(r0, rm, cm, c1)
-        visit(rm, r1, c0, cm)
-        visit(rm, r1, cm, c1)
-
-    visit(0, rows, 0, cols)
-    return order
-
-
-def _require_dyadic(dec: WaveletDecomposition):
-    for i in range(1, dec.levels):
-        finer = dec.details[i - 1][0].shape
-        coarser = dec.details[i][0].shape
-        if finer != (2 * coarser[0], 2 * coarser[1]):
-            raise ValueError(
-                "spatial-order serialization requires dyadic level shapes "
-                f"(level {i} details {finer} vs level {i + 1} details {coarser})"
-            )
-
-
-def serialize_spatial_order(dec: WaveletDecomposition) -> np.ndarray:
-    """Flatten a decomposition so coefficients covering the same image area
-    are contiguous.
-
-    The stream walks the coarsest-grid cells in recursive quadrant order;
-    for each cell it emits the approximation coefficient, then descends the
-    detail quad-tree depth-first, coarsest scale first, emitting the
-    (chd, cvd, cdd) triple at every node. Total length equals the pixel
-    count of the analyzed image.
-    """
-    _require_dyadic(dec)
-    out = []
-
-    def emit_details(level, r, c):
-        chd, cvd, cdd = dec.details[level - 1]
-        out.append(chd[r, c])
-        out.append(cvd[r, c])
-        out.append(cdd[r, c])
-        if level > 1:
-            for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                emit_details(level - 1, 2 * r + dr, 2 * c + dc)
-
-    for r, c in _quad_order(*dec.ca.shape):
-        out.append(dec.ca[r, c])
-        emit_details(dec.levels, r, c)
-    return np.asarray(out, dtype=np.float64)
-
-
-def deserialize_spatial_order(coeffs, template: WaveletDecomposition) -> WaveletDecomposition:
-    """Exact inverse of :func:`serialize_spatial_order`.
-
-    ``template`` supplies the structure (level shapes, bank, pre-pad
-    shapes); coefficient values come from ``coeffs``.
-    """
-    _require_dyadic(template)
-    stream = np.asarray(coeffs, dtype=np.float64).ravel()
-    expected = template.ca.size + sum(3 * d[0].size for d in template.details)
-    if stream.size != expected:
-        raise ValueError(f"expected {expected} coefficients, got {stream.size}")
-    ca = np.empty_like(template.ca)
-    details = [
-        tuple(np.empty_like(block) for block in triple) for triple in template.details
-    ]
-    pos = 0
-
-    def take():
-        nonlocal pos
-        value = stream[pos]
-        pos += 1
-        return value
-
-    def fill_details(level, r, c):
-        for block in details[level - 1]:
-            block[r, c] = take()
-        if level > 1:
-            for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                fill_details(level - 1, 2 * r + dr, 2 * c + dc)
-
-    for r, c in _quad_order(*template.ca.shape):
-        ca[r, c] = take()
-        fill_details(template.levels, r, c)
-    return replace(template, ca=ca, details=tuple(tuple(t) for t in details))
+    full = _synthesize_axis(lo, hi, bank.lowpass, bank.highpass, axis=1)
+    rows, cols = sub.shape
+    return full[:rows, :cols]

@@ -1,5 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _subprocess_imports_src():
+    """CLI tests start ``python -m despeckle`` in a subprocess; put ``src`` on
+    its path so it imports the same package as the tests, installed or not."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", _SRC, prepend=os.pathsep)
+        yield
 
 
 def make_phantom(n: int = 256) -> np.ndarray:

@@ -59,10 +59,10 @@ def test_criterion_1_perfect_reconstruction_and_parseval():
             peak = np.abs(img).max()
             energy = float(np.sum(img * img))
             for bank in banks:
-                dec = dwt2(img, bank, 1)
-                assert np.abs(idwt2(dec) - img).max() <= 1e-10 * peak
-                coeff_energy = float(np.sum(dec.ca**2)) + sum(
-                    float(np.sum(b**2)) for b in dec.details[0]
+                sub = dwt2(img, bank)
+                assert np.abs(idwt2(sub, bank) - img).max() <= 1e-10 * peak
+                coeff_energy = float(np.sum(sub.ca**2)) + sum(
+                    float(np.sum(b**2)) for b in (sub.chd, sub.cvd, sub.cdd)
                 )
                 assert coeff_energy == pytest.approx(energy, rel=1e-8)
         elapsed = time.perf_counter() - start

@@ -78,6 +78,16 @@ def test_calibrate_vacuous_epsilon(clean_pgm):
     assert payload["converged"] is True and payload["iterations"] == 1
 
 
+def test_calibrate_too_small_image_fails(tmp_path):
+    tiny = tmp_path / "tiny.pgm"
+    tiny.write_bytes(write_pgm(np.full((2, 2), 100.0), 255))
+    proc = run_cli("calibrate", tiny)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "image (2, 2) is too small to seed the threshold" in proc.stderr
+    assert "holds 1 coefficient" in proc.stderr
+
+
 def test_despeckle_echoes_lambda_and_zero_is_identity(clean_pgm, tmp_path):
     out = tmp_path / "out.pgm"
     proc = run_cli("despeckle", clean_pgm, out, "--lambda", "0.0")

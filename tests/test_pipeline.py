@@ -41,15 +41,16 @@ def test_shrink_once_huge_threshold_keeps_approximation_only():
     rng = np.random.default_rng(32)
     cfg = PipelineConfig(wavelet="db2", shrink="soft")
     img = rng.uniform(1, 200, size=(16, 16))
-    dec = dwt2(log_domain(img, cfg.bias), cfg.bank(), 1)
-    lam = max(np.abs(b).max() for b in dec.details[0]) + 1.0
+    sub = dwt2(log_domain(img, cfg.bias), cfg.bank())
+    lam = max(np.abs(b).max() for b in (sub.chd, sub.cvd, sub.cdd)) + 1.0
     from dataclasses import replace
 
-    ca_only = replace(dec, details=(tuple(np.zeros_like(b) for b in dec.details[0]),))
+    zero = np.zeros_like(sub.ca)
+    ca_only = replace(sub, chd=zero, cvd=zero, cdd=zero)
     from despeckle.image import exp_domain
     from despeckle.wavelet import idwt2
 
-    expected = np.maximum(exp_domain(idwt2(ca_only), cfg.bias), 0.0)
+    expected = np.maximum(exp_domain(idwt2(ca_only, cfg.bank()), cfg.bias), 0.0)
     assert_allclose(shrink_once(img, lam, cfg), expected, rtol=0, atol=1e-10)
 
 
@@ -76,10 +77,12 @@ def test_shrink_once_rejects_negative_threshold():
 def test_detail_energy_monotone_in_threshold():
     rng = np.random.default_rng(34)
     img = rng.uniform(1, 255, size=(32, 32))
-    dec = dwt2(log_domain(img, 1.0), bank_by_name("haar"), 1)
+    sub = dwt2(log_domain(img, 1.0), bank_by_name("haar"))
 
     def retained(lam):
-        return sum(float(np.sum(hard_threshold(b, lam) ** 2)) for b in dec.details[0])
+        return sum(
+            float(np.sum(hard_threshold(b, lam) ** 2)) for b in (sub.chd, sub.cvd, sub.cdd)
+        )
 
     lams = [0.0, 0.05, 0.1, 0.5, 1.0]
     energies = [retained(lam) for lam in lams]
@@ -93,8 +96,8 @@ def test_initial_threshold_subband_selection():
     rng = np.random.default_rng(35)
     img = rng.uniform(1, 255, size=(32, 32))
     cfg = PipelineConfig()
-    dec = dwt2(log_domain(img, cfg.bias), cfg.bank(), 1)
-    chd, cvd, cdd = dec.details[0]
+    sub = dwt2(log_domain(img, cfg.bias), cfg.bank())
+    chd, cvd, cdd = sub.chd, sub.cvd, sub.cdd
     est = initial_threshold(img, PipelineConfig(seed_subband="cdd"))
     assert est.delta_mad == pytest.approx(mad_sigma(cdd), rel=1e-12)
     assert est.n == cdd.size
@@ -122,9 +125,17 @@ def test_initial_threshold_tracks_log_noise_level():
     logged = rng.normal(3.0, sigma, size=(256, 256))
     img = np.exp(logged) - 1.0
     est = initial_threshold(img, PipelineConfig(seed_subband="cdd"))
-    dec = dwt2(np.log(img + 1.0), bank_by_name("haar"), 1)
-    subband_std = float(dec.details[0][2].std())
+    subband_std = float(dwt2(np.log(img + 1.0), bank_by_name("haar")).cdd.std())
     assert est.delta_mad == pytest.approx(subband_std, rel=0.05)
+
+
+def test_initial_threshold_rejects_too_small_image():
+    with pytest.raises(ValueError, match=r"image \(2, 2\).*'cdd' subband holds 1 coefficient"):
+        initial_threshold(np.full((2, 2), 10.0))
+    with pytest.raises(ValueError, match=r"image \(2, 2\)"):
+        calibrate(np.full((2, 2), 10.0), SpeckleSpec(kind="gamma", looks=3, seed=1))
+    # pooling the three detail blocks gives enough coefficients
+    assert initial_threshold(np.full((2, 2), 10.0), PipelineConfig(seed_subband="pooled")).n == 3
 
 
 # ---------------------------------------------------------------- calibration
@@ -230,6 +241,16 @@ def test_despeckle_zero_threshold_identity():
     rng = np.random.default_rng(37)
     img = rng.uniform(0, 255, size=(32, 32))
     assert np.abs(despeckle(img, 0.0) - img).max() <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(1, 40), (40, 1)], ids=["1x40", "40x1"])
+def test_despeckle_zero_threshold_identity_thin(shape):
+    rng = np.random.default_rng(38)
+    img = rng.uniform(0, 255, size=shape)
+    for wavelet in ("haar", "db2", "db4"):
+        out = despeckle(img, 0.0, PipelineConfig(wavelet=wavelet))
+        assert out.shape == shape
+        assert np.abs(out - img).max() <= 1e-10
 
 
 def test_despeckle_reduces_variance_on_benchmark():
@@ -342,8 +363,6 @@ def test_pipeline_config_validation():
         PipelineConfig(shrink="firm")
     with pytest.raises(ValueError):
         PipelineConfig(seed_subband="ca")
-    with pytest.raises(ValueError):
-        PipelineConfig(levels=2)
     with pytest.raises(ValueError):
         PipelineConfig(bias=0.0)
     with pytest.raises(ValueError):
