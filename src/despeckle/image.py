@@ -110,9 +110,20 @@ def read_pgm(data: bytes) -> np.ndarray:
             f"truncated payload at byte {pos + len(payload)}: "
             f"expected {need} sample bytes, got {len(payload)}"
         )
+    if len(data) > pos + need:
+        raise PgmError(
+            f"{len(data) - pos - need} unexpected byte(s) after the last sample at byte {pos + need}"
+        )
     dtype = ">u2" if sample_bytes == 2 else "u1"
-    pixels = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    return pixels.reshape(rows, cols)
+    samples = np.frombuffer(payload, dtype=dtype)
+    above = np.flatnonzero(samples > maxval)
+    if above.size:
+        first = int(above[0])
+        raise PgmError(
+            f"sample {int(samples[first])} exceeds maxval {maxval} "
+            f"at byte {pos + first * sample_bytes}"
+        )
+    return samples.astype(np.float64).reshape(rows, cols)
 
 
 def write_pgm(img, maxval: int = 255) -> bytes:
@@ -148,6 +159,11 @@ def read_f64(data: bytes) -> np.ndarray:
         raise PgmError(
             f"truncated F64 payload at byte {end + 1 + len(payload)}: "
             f"expected {need} bytes, got {len(payload)}"
+        )
+    if len(data) > end + 1 + need:
+        raise PgmError(
+            f"{len(data) - end - 1 - need} unexpected byte(s) after the last sample "
+            f"at byte {end + 1 + need}"
         )
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .fuzzy import ControllerConfig, control_step, scalarize
+from .fuzzy import ControllerConfig, ScalarError, control_step, scalarize
 from .image import as_image, exp_domain, log_domain, subtract
 from .speckle import SpeckleSpec, apply_speckle
 from .thresholding import (
@@ -37,7 +37,7 @@ from .thresholding import (
     soft_threshold,
     universal_threshold,
 )
-from .wavelet import FilterBank, bank_by_name, dwt2, idwt2
+from .wavelet import FilterBank, Subbands, bank_by_name, dwt2, idwt2
 
 __all__ = [
     "SHRINKERS",
@@ -135,37 +135,46 @@ def trace_to_csv(trace) -> str:
     return buf.getvalue()
 
 
-def shrink_once(img, lam: float, cfg: PipelineConfig | None = None) -> np.ndarray:
-    """One pass of the homomorphic shrinkage chain at threshold ``lam``."""
-    cfg = cfg or PipelineConfig()
-    if lam < 0:
-        raise ValueError(f"threshold must be non-negative, got {lam}")
-    arr = as_image(img)
-    bank = cfg.bank()
-    sub = dwt2(log_domain(arr, cfg.bias), bank)
+def _analyse(arr: np.ndarray, cfg: PipelineConfig) -> Subbands:
+    """Log-domain wavelet coefficients of a validated image."""
+    return dwt2(log_domain(arr, cfg.bias), cfg.bank())
+
+
+def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig) -> np.ndarray:
+    """Shrink the detail subbands at ``lam``, reconstruct and leave the log domain."""
     shrink = SHRINKERS[cfg.shrink]
     thresholded = replace(
         sub, chd=shrink(sub.chd, lam), cvd=shrink(sub.cvd, lam), cdd=shrink(sub.cdd, lam)
     )
-    out = exp_domain(idwt2(thresholded, bank), cfg.bias)
+    out = exp_domain(idwt2(thresholded, cfg.bank()), cfg.bias)
     return np.maximum(out, 0.0)
 
 
-def initial_threshold(img, cfg: PipelineConfig | None = None) -> ThresholdEstimate:
-    """Universal-threshold seed from the log-domain detail coefficients."""
-    cfg = cfg or PipelineConfig()
-    arr = as_image(img)
-    sub = dwt2(log_domain(arr, cfg.bias), cfg.bank())
+def _seed_threshold(sub: Subbands, cfg: PipelineConfig) -> ThresholdEstimate:
     if cfg.seed_subband == "pooled":
         coeffs = np.concatenate([sub.chd.ravel(), sub.cvd.ravel(), sub.cdd.ravel()])
     else:
         coeffs = getattr(sub, cfg.seed_subband).ravel()
     if coeffs.size < 2:
         raise ValueError(
-            f"image {arr.shape} is too small to seed the threshold: the "
+            f"image {sub.shape} is too small to seed the threshold: the "
             f"{cfg.seed_subband!r} subband holds {coeffs.size} coefficient(s), need at least 2"
         )
     return universal_threshold(mad_sigma(coeffs), coeffs.size)
+
+
+def shrink_once(img, lam: float, cfg: PipelineConfig | None = None) -> np.ndarray:
+    """One pass of the homomorphic shrinkage chain at threshold ``lam``."""
+    cfg = cfg or PipelineConfig()
+    if lam < 0:
+        raise ValueError(f"threshold must be non-negative, got {lam}")
+    return _synthesise(_analyse(as_image(img), cfg), lam, cfg)
+
+
+def initial_threshold(img, cfg: PipelineConfig | None = None) -> ThresholdEstimate:
+    """Universal-threshold seed from the log-domain detail coefficients."""
+    cfg = cfg or PipelineConfig()
+    return _seed_threshold(_analyse(as_image(img), cfg), cfg)
 
 
 def _default_controller(peak: float, lam0: float) -> ControllerConfig:
@@ -197,6 +206,11 @@ def calibrate(
     ``epsilon`` is in raw gray levels; the default is 2% of the clean
     image's peak. Returns the threshold with the smallest observed error
     magnitude together with the full per-iteration trace.
+
+    The speckled image is analysed once; each distinct threshold is
+    shrunk and synthesised once, and a threshold the loop returns to
+    reuses its recorded error. Trace and result are the same as running
+    :func:`shrink_once` on every iteration.
     """
     cfg = cfg or PipelineConfig()
     clean = as_image(clean)
@@ -210,17 +224,21 @@ def calibrate(
     if epsilon <= 0 or not np.isfinite(epsilon):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
-    noisy = apply_speckle(clean, spec)
-    lam0 = initial_threshold(noisy, cfg).lam
+    sub = _analyse(apply_speckle(clean, spec), cfg)
+    lam0 = _seed_threshold(sub, cfg).lam
     if ctl is None:
         ctl = _default_controller(peak, lam0)
 
     state = CalibrationState(lam=lam0, best_lam=lam0)
+    worst = {}  # lam -> signed worst-pixel error; it depends on lam alone
     trace = []
     converged = False
     for iteration in range(1, max_iter + 1):
-        despeckled = shrink_once(noisy, state.lam, cfg)
-        err = scalarize(subtract(clean, despeckled), state.eh)
+        if state.lam not in worst:
+            despeckled = _synthesise(sub, state.lam, cfg)
+            worst[state.lam] = scalarize(subtract(clean, despeckled)).e
+        e = worst[state.lam]
+        err = ScalarError(e=e, de=e - state.eh, eh=state.eh)
         dlam = control_step(err, ctl)
         me = abs(err.e)
         trace.append(

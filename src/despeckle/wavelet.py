@@ -17,6 +17,17 @@ Analysis splits an image into four half-size blocks:
 Odd-sized inputs (including single rows and columns) are padded by edge
 replication to the next even size and cropped back on synthesis; the
 pre-pad shape is recorded in :class:`Subbands`.
+
+Each axis is filtered in polyphase form. With periodic extension, output
+``i`` of tap ``k`` reads sample ``(2i + k) mod n``, which is sample
+``i + k // 2`` (mod ``n / 2``) of the even (``k`` even) or odd (``k`` odd)
+phase. Every tap is therefore a strided slice of the axis rotated by a
+whole number of samples: two slice-wise multiplies into one buffer, then
+an in-place add. Synthesis adds tap ``k``'s ``lo * h[k] + hi * g[k]`` into
+phase ``k % 2`` rotated the other way. No index arrays or tap-window
+copies are built. The form is exact, not an approximation: it computes
+the same products and adds them in the same tap order as the direct
+periodic convolution, so coefficients round identically.
 """
 
 import math
@@ -126,28 +137,56 @@ class Subbands:
             )
 
 
+def _along(axis: int, index) -> tuple:
+    """Index tuple that applies ``index`` along ``axis`` of a 2-D array."""
+    return (index, slice(None)) if axis == 0 else (slice(None), index)
+
+
+def _rotation(axis: int, half: int, shift: int):
+    """(destination, source) index pairs that rotate a length-``half`` axis
+    left by ``shift``: ``rotated[dst] = x[src]`` for both pairs."""
+    cut = half - shift
+    return (
+        (_along(axis, slice(0, cut)), _along(axis, slice(shift, None))),
+        (_along(axis, slice(cut, None)), _along(axis, slice(0, shift))),
+    )
+
+
+def _phases(x: np.ndarray, axis: int):
+    """Even and odd samples along ``axis`` (views)."""
+    return x[_along(axis, slice(0, None, 2))], x[_along(axis, slice(1, None, 2))]
+
+
 def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
-    n = x.shape[axis]
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
-    if axis == 1:
-        windows = x[:, idx]  # (rows, n/2, taps)
-        return windows @ h, windows @ g
-    windows = x[idx, :]  # (n/2, taps, cols)
-    return np.einsum("ntc,t->nc", windows, h), np.einsum("ntc,t->nc", windows, g)
+    # lo[i] = sum_k h[k] * x[(2i + k) % n]: tap k reads phase k % 2 rotated
+    # left by k // 2. Taps accumulate in order, so sums round as a dot product.
+    phases = _phases(x, axis)
+    half = phases[0].shape[axis]
+    lo, hi, buf = (np.empty(phases[0].shape) for _ in range(3))
+    for k in range(h.size):
+        rotation = _rotation(axis, half, (k // 2) % half)
+        for acc, taps in ((lo, h), (hi, g)):
+            product = buf if k else acc  # tap 0 starts the sum
+            for dst, src in rotation:
+                np.multiply(phases[k % 2][src], taps[k], out=product[dst])
+            if k:
+                acc += buf
+    return lo, hi
 
 
 def _synthesize_axis(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
+    # out[(2i + k) % n] += lo[i] * h[k] + hi[i] * g[k]: tap k adds to phase
+    # k % 2 rotated right by k // 2, in tap order.
     half = lo.shape[axis]
-    n = 2 * half
-    shape = (n, lo.shape[1]) if axis == 0 else (lo.shape[0], n)
-    out = np.zeros(shape, dtype=np.float64)
-    base = 2 * np.arange(half)
+    out = np.zeros((2 * half, lo.shape[1]) if axis == 0 else (lo.shape[0], 2 * half))
+    phases = _phases(out, axis)
+    term, buf = np.empty(lo.shape), np.empty(lo.shape)
     for k in range(h.size):
-        target = (base + k) % n
-        if axis == 1:
-            out[:, target] += lo * h[k] + hi * g[k]
-        else:
-            out[target, :] += lo * h[k] + hi * g[k]
+        np.multiply(lo, h[k], out=term)
+        np.multiply(hi, g[k], out=buf)
+        term += buf
+        for dst, src in _rotation(axis, half, (k // 2) % half):
+            phases[k % 2][src] += term[dst]
     return out
 
 

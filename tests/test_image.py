@@ -54,6 +54,25 @@ def test_read_pgm_malformed_dimension_names_offset():
         read_pgm(b"P5\nxy 2\n255\n" + bytes(4))
 
 
+@pytest.mark.parametrize(
+    "data, offset",
+    [
+        (b"P5\n2 2\n200\n" + bytes([0, 200, 201, 7]), 13),  # 8-bit, third sample
+        (b"P5\n2 1\n1000\n" + bytes([0x03, 0xE8, 0x03, 0xE9]), 14),  # 16-bit, second
+    ],
+    ids=["8bit", "16bit"],
+)
+def test_read_pgm_sample_above_maxval_names_offset(data, offset):
+    with pytest.raises(PgmError, match=f"exceeds maxval .* at byte {offset}$"):
+        read_pgm(data)
+
+
+def test_read_pgm_trailing_payload_names_offset():
+    data = b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4, 5])
+    with pytest.raises(PgmError, match="1 unexpected byte.* at byte 15$"):
+        read_pgm(data)
+
+
 def test_write_pgm_clamps():
     out = write_pgm(np.array([[256.0]]), 255)
     assert out == b"P5\n1 1\n255\n" + bytes([255])
@@ -89,6 +108,12 @@ def test_f64_rejects_bad_magic_and_truncation():
         read_f64(b"F32\n1 1\n" + bytes(8))
     with pytest.raises(PgmError, match="truncated"):
         read_f64(b"F64\n2 2\n" + bytes(8))
+
+
+def test_f64_rejects_trailing_bytes_names_offset():
+    data = write_f64(np.zeros((1, 2))) + b"\n"
+    with pytest.raises(PgmError, match="1 unexpected byte.* at byte 24$"):
+        read_f64(data)
 
 
 def test_log_domain_values():

@@ -3,11 +3,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import despeckle.pipeline as pipeline_mod
-from despeckle.image import log_domain
+from despeckle.fuzzy import control_step, scalarize
+from despeckle.image import log_domain, subtract
 from despeckle.metrics import nmv_nv_nsd
 from despeckle.pipeline import (
     CalibrationResult,
     PipelineConfig,
+    TraceStep,
     calibrate,
     despeckle,
     initial_threshold,
@@ -232,6 +234,74 @@ def test_trace_csv_round_trip():
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[4]) == result.trace[0].lam
+
+
+def _reference_calibrate(clean, spec, cfg, max_iter=100):
+    """Reference loop: the whole chain through shrink_once on every
+    iteration, with calibrate's default controller and epsilon."""
+    peak = float(np.abs(clean).max())
+    noisy = apply_speckle(clean, spec)
+    lam0 = initial_threshold(noisy, cfg).lam
+    ctl = pipeline_mod._default_controller(peak, lam0)
+    lam, eh, best_lam, best_me = lam0, 0.0, lam0, float("inf")
+    trace = []
+    converged = False
+    for iteration in range(1, max_iter + 1):
+        err = scalarize(subtract(clean, shrink_once(noisy, lam, cfg)), eh)
+        dlam = control_step(err, ctl)
+        me = abs(err.e)
+        trace.append(TraceStep(iteration, err.e, err.de, dlam, lam, me))
+        if me < best_me:
+            best_me, best_lam = me, lam
+        eh = err.e
+        if me <= 0.02 * peak:
+            converged = True
+            break
+        lam = max(lam + dlam, 0.0)
+    return CalibrationResult(best_lam, len(trace), converged, tuple(trace))
+
+
+# (speckle kind, seed, shrink, wavelet, whether lambda clamps to 0 on the 64^2 phantom)
+CALIBRATION_CASES = [
+    ("gamma", 1, "hard", "haar", True),
+    ("gamma", 2, "hard", "haar", False),
+    ("rayleigh", 4, "hard", "haar", True),
+    ("rayleigh", 5, "soft", "db2", True),
+    ("exponential", 1, "soft", "db4", True),
+]
+
+
+@pytest.mark.parametrize("kind,seed,shrink,wavelet,clamps", CALIBRATION_CASES)
+def test_calibrate_matches_reference_loop(kind, seed, shrink, wavelet, clamps):
+    clean = _small_phantom()
+    spec = SpeckleSpec(kind=kind, seed=seed)
+    cfg = PipelineConfig(wavelet=wavelet, shrink=shrink)
+    result = calibrate(clean, spec, cfg)
+    expected = _reference_calibrate(clean, spec, cfg)
+    assert (0.0 in {step.lam for step in result.trace}) == clamps
+    assert trace_to_csv(result.trace) == trace_to_csv(expected.trace)
+    assert result == expected
+
+
+@pytest.mark.parametrize("kind,seed,shrink,wavelet,clamps", CALIBRATION_CASES)
+def test_calibrate_analyses_once_and_synthesises_each_lambda_once(
+    monkeypatch, kind, seed, shrink, wavelet, clamps
+):
+    calls = {"dwt2": 0, "idwt2": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline_mod, "dwt2", counted("dwt2", pipeline_mod.dwt2))
+    monkeypatch.setattr(pipeline_mod, "idwt2", counted("idwt2", pipeline_mod.idwt2))
+    cfg = PipelineConfig(wavelet=wavelet, shrink=shrink)
+    result = calibrate(_small_phantom(), SpeckleSpec(kind=kind, seed=seed), cfg)
+    assert calls["dwt2"] == 1
+    assert calls["idwt2"] == len({step.lam for step in result.trace})
 
 
 # ---------------------------------------------------------------- despeckle

@@ -188,3 +188,77 @@ def test_zeroing_details_subtracts_their_contribution():
     no_details = replace(sub, chd=zero, cvd=zero, cdd=zero)
     only_details = replace(sub, ca=zero)
     assert_allclose(idwt2(no_details, bank) + idwt2(only_details, bank), img, rtol=0, atol=1e-10)
+
+
+# ---------------------------------------------------------------- oracle
+
+
+def _gather_analyze_axis(x, h, g, axis):
+    """Oracle: gather every tap window by modular index and reduce it."""
+    n = x.shape[axis]
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
+    if axis == 1:
+        windows = x[:, idx]  # (rows, n/2, taps)
+        return windows @ h, windows @ g
+    windows = x[idx, :]  # (n/2, taps, cols)
+    return np.einsum("ntc,t->nc", windows, h), np.einsum("ntc,t->nc", windows, g)
+
+
+def _scatter_synthesize_axis(lo, hi, h, g, axis):
+    """Oracle: scatter each tap's contribution through modular indices."""
+    half = lo.shape[axis]
+    n = 2 * half
+    shape = (n, lo.shape[1]) if axis == 0 else (lo.shape[0], n)
+    out = np.zeros(shape, dtype=np.float64)
+    base = 2 * np.arange(half)
+    for k in range(h.size):
+        target = (base + k) % n
+        if axis == 1:
+            out[:, target] += lo * h[k] + hi * g[k]
+        else:
+            out[target, :] += lo * h[k] + hi * g[k]
+    return out
+
+
+def _oracle_dwt2(img, bank):
+    rows, cols = img.shape
+    x = np.pad(img, ((0, rows % 2), (0, cols % 2)), mode="edge")
+    lo, hi = _gather_analyze_axis(x, bank.lowpass, bank.highpass, axis=1)
+    ca, chd = _gather_analyze_axis(lo, bank.lowpass, bank.highpass, axis=0)
+    cvd, cdd = _gather_analyze_axis(hi, bank.lowpass, bank.highpass, axis=0)
+    return ca, chd, cvd, cdd
+
+
+def _oracle_idwt2(sub, bank):
+    lo = _scatter_synthesize_axis(sub.ca, sub.chd, bank.lowpass, bank.highpass, axis=0)
+    hi = _scatter_synthesize_axis(sub.cvd, sub.cdd, bank.lowpass, bank.highpass, axis=0)
+    full = _scatter_synthesize_axis(lo, hi, bank.lowpass, bank.highpass, axis=1)
+    return full[: sub.shape[0], : sub.shape[1]]
+
+
+# Shapes whose padded axes all hold >= 4 samples: the polyphase form adds
+# the same products in the same order as the oracle, so results are equal.
+# Where a padded axis holds 2 samples every tap wraps onto one coefficient
+# and the oracle's matmul/einsum reduction rounds differently (by ~1 ulp).
+EXACT_SHAPES = [(256, 256), (97, 97), (17, 23), (300, 128), (4, 6)]
+TWO_SAMPLE_SHAPES = [(1, 9), (9, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("name", BANKS)
+@pytest.mark.parametrize(
+    "shape", EXACT_SHAPES + TWO_SAMPLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}"
+)
+def test_transform_matches_gather_scatter_oracle(shape, name):
+    rng = np.random.default_rng(14)
+    bank = bank_by_name(name)
+    img = rng.uniform(0.0, 255.0, size=shape)
+    sub = dwt2(img, bank)
+    blocks = (sub.ca, sub.chd, sub.cvd, sub.cdd)
+    if shape in EXACT_SHAPES:
+        for block, expected in zip(blocks, _oracle_dwt2(img, bank)):
+            assert_array_equal(block, expected)
+        assert_array_equal(idwt2(sub, bank), _oracle_idwt2(sub, bank))
+    else:
+        for block, expected in zip(blocks, _oracle_dwt2(img, bank)):
+            assert_allclose(block, expected, rtol=0, atol=1e-12)
+        assert_allclose(idwt2(sub, bank), _oracle_idwt2(sub, bank), rtol=0, atol=1e-12)
