@@ -28,6 +28,14 @@ phase ``k % 2`` rotated the other way. No index arrays or tap-window
 copies are built. The form is exact, not an approximation: it computes
 the same products and adds them in the same tap order as the direct
 periodic convolution, so coefficients round identically.
+
+Each pass runs in cache-sized strips of lines that filter independently,
+row strips for the axis-1 passes and column strips for the axis-0
+passes, each written into a preallocated output. On large images the
+strips run on every CPU the process may use (see ``_strips``); every
+coefficient is computed by the same operations in the same order as in
+one whole-array pass, so results do not depend on the strip or CPU
+count.
 """
 
 import math
@@ -35,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._strips import _for_each_strip
 from .image import as_image
 
 __all__ = [
@@ -157,12 +166,14 @@ def _phases(x: np.ndarray, axis: int):
     return x[_along(axis, slice(0, None, 2))], x[_along(axis, slice(1, None, 2))]
 
 
-def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
+def _analyze_axis(
+    x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, lo: np.ndarray, hi: np.ndarray
+) -> None:
     # lo[i] = sum_k h[k] * x[(2i + k) % n]: tap k reads phase k % 2 rotated
     # left by k // 2. Taps accumulate in order, so sums round as a dot product.
     phases = _phases(x, axis)
-    half = phases[0].shape[axis]
-    lo, hi, buf = (np.empty(phases[0].shape) for _ in range(3))
+    half = lo.shape[axis]
+    buf = np.empty(lo.shape)
     for k in range(h.size):
         rotation = _rotation(axis, half, (k // 2) % half)
         for acc, taps in ((lo, h), (hi, g)):
@@ -171,14 +182,15 @@ def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
                 np.multiply(phases[k % 2][src], taps[k], out=product[dst])
             if k:
                 acc += buf
-    return lo, hi
 
 
-def _synthesize_axis(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
+def _synthesize_axis(
+    lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, out: np.ndarray
+) -> None:
     # out[(2i + k) % n] += lo[i] * h[k] + hi[i] * g[k]: tap k adds to phase
     # k % 2 rotated right by k // 2, in tap order.
     half = lo.shape[axis]
-    out = np.zeros((2 * half, lo.shape[1]) if axis == 0 else (lo.shape[0], 2 * half))
+    out.fill(0.0)
     phases = _phases(out, axis)
     term, buf = np.empty(lo.shape), np.empty(lo.shape)
     for k in range(h.size):
@@ -187,7 +199,6 @@ def _synthesize_axis(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarra
         term += buf
         for dst, src in _rotation(axis, half, (k // 2) % half):
             phases[k % 2][src] += term[dst]
-    return out
 
 
 def dwt2(img, bank: FilterBank) -> Subbands:
@@ -197,17 +208,40 @@ def dwt2(img, bank: FilterBank) -> Subbands:
     rows, cols = x.shape
     if rows % 2 or cols % 2:
         x = np.pad(x, ((0, rows % 2), (0, cols % 2)), mode="edge")
-    lo, hi = _analyze_axis(x, bank.lowpass, bank.highpass, axis=1)
-    ca, chd = _analyze_axis(lo, bank.lowpass, bank.highpass, axis=0)
-    cvd, cdd = _analyze_axis(hi, bank.lowpass, bank.highpass, axis=0)
+    h, g = bank.lowpass, bank.highpass
+    lo, hi = (np.empty((x.shape[0], x.shape[1] // 2)) for _ in range(2))
+
+    def _analyze_rows(s):
+        _analyze_axis(x[s], h, g, 1, lo[s], hi[s])
+
+    _for_each_strip(_analyze_rows, x.shape[0], x[0].nbytes)
+    ca, chd, cvd, cdd = (np.empty((x.shape[0] // 2, x.shape[1] // 2)) for _ in range(4))
+
+    def _analyze_columns(s):
+        _analyze_axis(lo[:, s], h, g, 0, ca[:, s], chd[:, s])
+        _analyze_axis(hi[:, s], h, g, 0, cvd[:, s], cdd[:, s])
+
+    _for_each_strip(_analyze_columns, lo.shape[1], 2 * lo[:, 0].nbytes)
     return Subbands(ca=ca, chd=chd, cvd=cvd, cdd=cdd, shape=(rows, cols))
 
 
 def idwt2(sub: Subbands, bank: FilterBank) -> np.ndarray:
     """Exact synthesis inverse of :func:`dwt2` (columns, then rows), cropped
     back to the pre-pad shape."""
-    lo = _synthesize_axis(sub.ca, sub.chd, bank.lowpass, bank.highpass, axis=0)
-    hi = _synthesize_axis(sub.cvd, sub.cdd, bank.lowpass, bank.highpass, axis=0)
-    full = _synthesize_axis(lo, hi, bank.lowpass, bank.highpass, axis=1)
+    h, g = bank.lowpass, bank.highpass
+    half_rows, half_cols = sub.ca.shape
+    lo, hi = (np.empty((2 * half_rows, half_cols)) for _ in range(2))
+
+    def _synthesize_columns(s):
+        _synthesize_axis(sub.ca[:, s], sub.chd[:, s], h, g, 0, lo[:, s])
+        _synthesize_axis(sub.cvd[:, s], sub.cdd[:, s], h, g, 0, hi[:, s])
+
+    _for_each_strip(_synthesize_columns, half_cols, 2 * lo[:, 0].nbytes)
+    full = np.empty((2 * half_rows, 2 * half_cols))
+
+    def _synthesize_rows(s):
+        _synthesize_axis(lo[s], hi[s], h, g, 1, full[s])
+
+    _for_each_strip(_synthesize_rows, full.shape[0], full[0].nbytes)
     rows, cols = sub.shape
     return full[:rows, :cols]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import ndimage
 
 from despeckle.metrics import (
     MetricsConfig,
@@ -13,9 +14,12 @@ from despeckle.metrics import (
     nearest_edge_distances,
     nmv_nv_nsd,
     pratt_fom,
+    _sobel_magnitude,
 )
 from despeckle.pipeline import despeckle
 from despeckle.speckle import SpeckleSpec, apply_speckle, generate_speckle
+
+from conftest import make_phantom
 
 
 # ---------------------------------------------------------------- moments
@@ -138,6 +142,37 @@ def test_detect_edges_tau_range():
         detect_edges(np.zeros((4, 4)), 0.0)
 
 
+def _sobel_magnitude_oracle(img):
+    """Oracle: scipy's Sobel pair and its magnitude over the whole image."""
+    return np.hypot(
+        ndimage.sobel(img, axis=1, mode="nearest"), ndimage.sobel(img, axis=0, mode="nearest")
+    )
+
+
+def _sobel_edges(img, tau):
+    magnitude = _sobel_magnitude_oracle(img)
+    peak = magnitude.max()
+    return magnitude >= tau * peak if peak > 0.0 else np.zeros(img.shape, dtype=bool)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (1, 9), (9, 1), (2, 2), (3, 3), (17, 23), (1031, 515)],
+    ids=lambda s: f"{s[0]}x{s[1]}",
+)
+def test_detect_edges_matches_sobel_oracle(shape):
+    # Quantised stripes put many magnitudes exactly on 0.5 * peak, where a
+    # magnitude one ulp off would flip a pixel; 1031x515 spans several strips.
+    rng = np.random.default_rng(30)
+    smooth = rng.uniform(0.0, 255.0, size=shape)
+    levels = np.floor(smooth / 86.0)
+    stripes = (np.broadcast_to(levels[:1], shape), np.broadcast_to(levels[:, :1], shape))
+    for img in (smooth, np.floor(smooth / 128.0), *stripes):
+        assert_array_equal(_sobel_magnitude(img), _sobel_magnitude_oracle(img))
+        for tau in (0.2, 0.25, 0.5):
+            assert_array_equal(detect_edges(img, tau), _sobel_edges(img, tau))
+
+
 # ---------------------------------------------------------------- FOM
 
 
@@ -198,15 +233,22 @@ def _brute_distances(detected, ideal):
 def test_nearest_distance_routes_agree(phantom):
     rng = np.random.default_rng(28)
     pairs = [(rng.random((24, 24)) < 0.15, rng.random((24, 24)) < 0.15) for _ in range(10)]
+    for shape in ((17, 40), (40, 17)):
+        pairs.append((rng.random(shape) < 0.15, rng.random(shape) < 0.15))
     # the benchmark triple's edge maps: about 2k ideal edge pixels on 256^2
     noisy = apply_speckle(phantom, SpeckleSpec(kind="gamma", looks=3, seed=42))
     pairs.append((detect_edges(despeckle(noisy, 2.68)), detect_edges(phantom)))
+    # the 1024^2 phantom's edges against its shifted edges plus scattered
+    # pixels: few enough detected pixels for the brute oracle
+    big = make_phantom(1024)
+    shifted = detect_edges(np.roll(big, (3, -5), axis=(0, 1)))
+    pairs.append((shifted | (rng.random(big.shape) < 0.002), detect_edges(big)))
     for detected, ideal in pairs:
         if not (ideal.any() and detected.any()):
             continue
-        assert_array_equal(
-            nearest_edge_distances(detected, ideal), _brute_distances(detected, ideal)
-        )
+        distances = nearest_edge_distances(detected, ideal)
+        assert_array_equal(distances, ndimage.distance_transform_edt(~ideal)[detected])
+        assert_array_equal(distances, _brute_distances(detected, ideal))
 
 
 def test_nearest_distance_brute_matches_loop_oracle():

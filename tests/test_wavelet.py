@@ -238,9 +238,11 @@ def _oracle_idwt2(sub, bank):
 
 # Shapes whose padded axes all hold >= 4 samples: the polyphase form adds
 # the same products in the same order as the oracle, so results are equal.
+# 600x1100 and 1031x515 span several strips in both passes, so they check
+# that strips are cut and written back without changing a coefficient.
 # Where a padded axis holds 2 samples every tap wraps onto one coefficient
 # and the oracle's matmul/einsum reduction rounds differently (by ~1 ulp).
-EXACT_SHAPES = [(256, 256), (97, 97), (17, 23), (300, 128), (4, 6)]
+EXACT_SHAPES = [(256, 256), (97, 97), (17, 23), (300, 128), (4, 6), (600, 1100), (1031, 515)]
 TWO_SAMPLE_SHAPES = [(1, 9), (9, 1), (2, 2)]
 
 
