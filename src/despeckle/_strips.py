@@ -1,48 +1,23 @@
-"""Cache-sized strips of a large array, processed on every CPU.
+"""Cache-sized strips of a large array.
 
 :func:`_for_each_strip` splits the lines (rows or columns) of an array
 into contiguous strips of at least :data:`_STRIP_BYTES` each and calls a
-per-strip function on every strip. Small working sets stay in cache
-while a strip is filtered, and the strips run concurrently on a
-process-wide thread pool sized by the CPUs this process may run on.
-NumPy releases the interpreter lock inside its array loops, so the
-threads overlap.
-
-An array smaller than two strips is one strip, and a process limited to
-one CPU gets no pool: the per-strip function then runs in the caller,
-through the same code. The pool is created on first use, so small
-images never start a thread.
+per-strip function on every strip, in order, in the caller. A strip's
+working set stays in cache while it is filtered, where a whole-array
+pass over a 2048x2048 image would stream every intermediate through
+memory. An array smaller than two strips is one strip.
 
 Strip functions write disjoint parts of preallocated outputs and compute
 every element exactly as a whole-array call would, so results do not
-depend on the strip count or the CPU count. Strip functions, and the
-functions here, are private: the benchmark's tracer records spans of
-public package functions and assumes they all run in one thread.
+depend on the strip count.
+
+The strips run in one thread on purpose. Spreading them over a thread
+pool made a 2048x2048 scene about 15% faster, but only while a second
+CPU was idle: on a machine shared with other work the gain came and
+went from one run to the next, and with it the run time.
 """
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 _STRIP_BYTES = 1 << 20
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _cpus() -> int:
-    # The CPUs this process may run on; sched_getaffinity is Linux-only.
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _executor() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_cpus(), thread_name_prefix="despeckle-strip")
-        return _pool
 
 
 def _bounds(lines: int, line_bytes: int) -> list:
@@ -54,12 +29,6 @@ def _bounds(lines: int, line_bytes: int) -> list:
 
 
 def _for_each_strip(fn, lines: int, line_bytes: int) -> None:
-    """Call ``fn(strip)`` for every slice of :func:`_bounds`, concurrently
-    when there are several strips and several CPUs."""
-    parts = _bounds(lines, line_bytes)
-    if len(parts) == 1 or _cpus() == 1:
-        for part in parts:
-            fn(part)
-        return
-    for _ in _executor().map(fn, parts):
-        pass
+    """Call ``fn(strip)`` for every slice of :func:`_bounds`, in order."""
+    for part in _bounds(lines, line_bytes):
+        fn(part)

@@ -17,7 +17,7 @@ Seven assessment figures for a (clean, noisy, despeckled) triple:
 
 Edge maps are plain boolean arrays produced by a Sobel magnitude detector
 thresholded at a fraction of its maximum. The Sobel pair is computed in
-row strips (on every CPU for large images) in ``scipy.ndimage.sobel``'s
+cache-sized row strips in ``scipy.ndimage.sobel``'s
 order -- the difference along the gradient axis, then ``2 * centre +
 (previous + next)`` across it, on edge-replicated borders -- so
 magnitudes equal scipy's bit for bit. FOM distances come from the

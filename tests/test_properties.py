@@ -13,7 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 from despeckle.metrics import _sobel_magnitude, detect_edges  # noqa: E402
 from despeckle.wavelet import bank_by_name, dwt2, idwt2  # noqa: E402
 
-# Small shapes, and shapes of 2.2-4.3 MiB whose passes cut into 2-4 strips.
+# Small shapes, and shapes of 2.2-4.3 MiB whose row passes cut into 2-4 strips.
 shapes = st.one_of(
     st.tuples(st.integers(1, 40), st.integers(1, 40)),
     st.tuples(st.integers(500, 700), st.integers(560, 800)),

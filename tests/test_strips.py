@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import inspect
 import io
 import sys
@@ -37,10 +36,9 @@ def test_bounds_cover_lines_in_order(lines, line_bytes, count):
         assert min(len(range(lines)[p]) for p in parts) * line_bytes >= _strips._STRIP_BYTES
 
 
-def test_small_images_start_no_thread(monkeypatch, phantom, tmp_path):
-    # The pool is created on first use; forget any pool an earlier test made
-    # so that a 256^2 call which reached the pool would have to start one.
-    monkeypatch.setattr(_strips, "_pool", None)
+def test_no_thread_starts_at_any_size(phantom, tmp_path):
+    # Strips run in the caller: neither the 256^2 paths (one strip) nor a
+    # multi-strip transform, edge map and report start a thread.
     before = threading.active_count()
     calibrate(phantom, SpeckleSpec(kind="gamma", looks=3, seed=42), max_iter=5)
     clean, noisy, out = (str(tmp_path / f) for f in ("clean.pgm", "noisy.pgm", "out.pgm"))
@@ -50,13 +48,17 @@ def test_small_images_start_no_thread(monkeypatch, phantom, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["despeckle", noisy, out, "--lambda", "2.68"]) == 0
         assert cli.main(["metrics", clean, noisy, out]) == 0
+    img = np.random.default_rng(30).uniform(1.0, 255.0, size=(1031, 515))
+    assert len(_strips._bounds(img.shape[0], img[0].nbytes)) > 1
+    bank = bank_by_name("db4")
+    idwt2(dwt2(img, bank), bank)
+    full_report(img, img * 1.5, img)
     assert threading.active_count() == before
-    assert _strips._pool is None
 
 
-def test_strip_functions_are_private_and_workers_call_no_public_function(monkeypatch):
-    # The benchmark's tracer wraps every public package function and assumes
-    # one thread; a strip function must be neither public nor call one.
+def test_strip_functions_are_private(monkeypatch):
+    # The benchmark's tracer wraps every public package function; a public
+    # strip function would count one span per strip.
     helper = _strips._for_each_strip
     strip_functions = []
 
@@ -64,25 +66,10 @@ def test_strip_functions_are_private_and_workers_call_no_public_function(monkeyp
         strip_functions.append(fn)
         return helper(fn, lines, line_bytes)
 
-    calls = []
-
-    def watched(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            calls.append((fn.__qualname__, threading.current_thread()))
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    public = {}
     for mod in _package_modules():
         for attr, obj in list(vars(mod).items()):
             if obj is helper:
                 monkeypatch.setattr(mod, attr, recording)
-            elif inspect.isfunction(obj) and obj.__module__.startswith("despeckle"):
-                if not attr.startswith("_"):
-                    public.setdefault(obj, watched(obj))
-                    monkeypatch.setattr(mod, attr, public[obj])
 
     rng = np.random.default_rng(31)
     img = rng.uniform(1.0, 255.0, size=(1031, 515))
@@ -94,7 +81,6 @@ def test_strip_functions_are_private_and_workers_call_no_public_function(monkeyp
     assert all(fn.__name__.startswith("_") for fn in strip_functions)
     exported = {id(obj) for mod in _package_modules() for obj in vars(mod).values()}
     assert not exported & {id(fn) for fn in strip_functions}
-    assert calls and {thread for _, thread in calls} == {threading.main_thread()}
     assert not [
         name
         for name, obj in vars(_strips).items()
@@ -102,7 +88,8 @@ def test_strip_functions_are_private_and_workers_call_no_public_function(monkeyp
     ]
 
 
-def test_multi_strip_results_do_not_depend_on_cpu_count(monkeypatch):
+@pytest.mark.parametrize("strip_bytes", [1 << 14, 1 << 40])
+def test_results_do_not_depend_on_strip_size(monkeypatch, strip_bytes):
     rng = np.random.default_rng(32)
     img = rng.uniform(0.0, 255.0, size=(600, 1100))
     bank = bank_by_name("db2")
@@ -111,7 +98,7 @@ def test_multi_strip_results_do_not_depend_on_cpu_count(monkeypatch):
         sub = dwt2(img, bank)
         return (sub.ca, sub.chd, sub.cvd, sub.cdd, idwt2(sub, bank), detect_edges(img))
 
-    pooled = run()
-    monkeypatch.setattr(_strips, "_cpus", lambda: 1)
-    for got, want in zip(run(), pooled):
+    default = run()
+    monkeypatch.setattr(_strips, "_STRIP_BYTES", strip_bytes)
+    for got, want in zip(run(), default):
         assert_array_equal(got, want)

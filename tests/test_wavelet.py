@@ -238,7 +238,7 @@ def _oracle_idwt2(sub, bank):
 
 # Shapes whose padded axes all hold >= 4 samples: the polyphase form adds
 # the same products in the same order as the oracle, so results are equal.
-# 600x1100 and 1031x515 span several strips in both passes, so they check
+# 600x1100 and 1031x515 span several strips in both row passes, so they check
 # that strips are cut and written back without changing a coefficient.
 # Where a padded axis holds 2 samples every tap wraps onto one coefficient
 # and the oracle's matmul/einsum reduction rounds differently (by ~1 ulp).
