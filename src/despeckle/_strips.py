@@ -1,14 +1,14 @@
 """Cache-sized strips of a large array.
 
-:func:`_for_each_strip` splits the lines (rows or columns) of an array
-into contiguous strips of at least :data:`_STRIP_BYTES` each and calls a
-per-strip function on every strip, in order, in the caller. A strip's
-working set stays in cache while it is filtered, where a whole-array
-pass over a 2048x2048 image would stream every intermediate through
-memory. An array smaller than two strips is one strip.
+:func:`_bounds` splits the lines (rows) of an array into contiguous
+strips of at least :data:`_STRIP_BYTES` each; callers filter one strip at
+a time, in order. A strip's working set stays in cache while it is
+filtered, where a whole-array pass over a 2048x2048 image would stream
+every intermediate through memory. An array smaller than two strips is
+one strip.
 
-Strip functions write disjoint parts of preallocated outputs and compute
-every element exactly as a whole-array call would, so results do not
+Each strip writes a disjoint part of a preallocated output and computes
+every element exactly as a whole-array pass would, so results do not
 depend on the strip count.
 
 The strips run in one thread on purpose. Spreading them over a thread
@@ -26,9 +26,3 @@ def _bounds(lines: int, line_bytes: int) -> list:
     count = max(1, lines // -(-_STRIP_BYTES // line_bytes))
     bounds = [i * lines // count for i in range(count + 1)]
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
-
-
-def _for_each_strip(fn, lines: int, line_bytes: int) -> None:
-    """Call ``fn(strip)`` for every slice of :func:`_bounds`, in order."""
-    for part in _bounds(lines, line_bytes):
-        fn(part)

@@ -13,6 +13,7 @@ values fit in 0..255 and big-endian 16-bit otherwise.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -23,6 +24,8 @@ from .fuzzy import output_surface, surface_to_csv
 from .image import PgmError, read_f64, read_pgm, write_pgm
 from .metrics import MetricsConfig, MetricsReport, full_report
 from .pipeline import (
+    SEED_SUBBANDS,
+    SHRINKERS,
     PipelineConfig,
     calibrate,
     despeckle,
@@ -31,6 +34,7 @@ from .pipeline import (
     trace_to_csv,
 )
 from .speckle import KINDS, SpeckleSpec, apply_speckle
+from .wavelet import SUPPORTED_BANKS
 
 __all__ = ["main", "build_parser"]
 
@@ -100,6 +104,8 @@ def cmd_despeckle(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    if args.looks < 1:
+        raise ValueError(f"looks must be a positive integer, got {args.looks}")
     img = _read_image(args.input)
     if args.filter == "median":
         out = median_filter_homomorphic(img, kernel=args.kernel, bias=args.bias)
@@ -137,19 +143,18 @@ def _add_speckle_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--wavelet", choices=("haar", "db2", "db4"), default="haar", help="filter bank"
-    )
-    parser.add_argument("--shrink", choices=("hard", "soft"), default="hard", help="shrinker")
+    parser.add_argument("--wavelet", choices=SUPPORTED_BANKS, default="haar", help="filter bank")
+    parser.add_argument("--shrink", choices=tuple(SHRINKERS), default="hard", help="shrinker")
     parser.add_argument("--bias", type=float, default=1.0, help="offset added before the log")
     parser.add_argument(
         "--subband",
-        choices=("chd", "cvd", "cdd", "pooled"),
+        choices=SEED_SUBBANDS,
         default="cdd",
         help="detail block feeding the initial noise estimate",
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="despeckle", description="Wavelet-shrinkage despeckling toolkit"

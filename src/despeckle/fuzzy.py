@@ -1,12 +1,13 @@
 """Fuzzy PI controller that turns a scalar image error into a threshold step.
 
-The controller is table-driven: five triangular membership labels (NB,
-NS, AZ, PS, PB) over the normalized universe [-1, 1], a 5x5 antisymmetric
-rule table mixing the error and its change (the diagonal band of zeros
-gives the loose PI-style tuning), min as the AND operator, and
-center-average defuzzification onto the label centers. The normalized
-output in [-1, 1] is rescaled by the caller's gains into a raw threshold
-increment.
+The controller is the paper's fixed design, held in module constants:
+five triangular membership labels (NB, NS, AZ, PS, PB) centred at
+:data:`LABEL_CENTERS` with half-width 0.5 over the normalized universe
+[-1, 1], the 5x5 antisymmetric rule table :data:`RULES` mixing the error
+and its change (the diagonal band of zeros gives the loose PI-style
+tuning), min as the AND operator, and center-average defuzzification onto
+the label centers. The normalized output in [-1, 1] is rescaled by the
+caller's gains into a raw threshold increment.
 
 Scalarization reduces an error image to a signed scalar: the value of the
 pixel with the largest magnitude (ties broken toward the smallest row,
@@ -23,12 +24,9 @@ from .image import as_image
 __all__ = [
     "LABELS",
     "LABEL_CENTERS",
-    "MembershipBank",
-    "RuleBase",
+    "RULES",
     "ControllerConfig",
     "ScalarError",
-    "DEFAULT_BANK",
-    "DEFAULT_RULES",
     "scalarize",
     "fuzzify",
     "infer",
@@ -39,61 +37,17 @@ __all__ = [
 
 LABELS = ("NB", "NS", "AZ", "PS", "PB")
 LABEL_CENTERS = {"NB": -1.0, "NS": -0.5, "AZ": 0.0, "PS": 0.5, "PB": 1.0}
+_HALF_WIDTH = 0.5
 
-_NEGATE = {"NB": "PB", "NS": "PS", "AZ": "AZ", "PS": "NS", "PB": "NB"}
-
-
-@dataclass(frozen=True)
-class MembershipBank:
-    """Triangular memberships: centers at -1, -0.5, 0, 0.5, 1, half-width 0.5."""
-
-    centers: tuple = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    half_width: float = 0.5
-
-    def __post_init__(self):
-        if len(self.centers) != len(LABELS):
-            raise ValueError("one center per label required")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-
-
-DEFAULT_BANK = MembershipBank()
-
-
-@dataclass(frozen=True)
-class RuleBase:
-    """5x5 output-label table; rows are change-in-error, columns are error.
-
-    Both indices run NB, NS, AZ, PS, PB. The table must be antisymmetric:
-    negating both inputs negates the output label.
-    """
-
-    rows: tuple = (
-        ("NB", "NS", "NS", "AZ", "AZ"),
-        ("NB", "NS", "AZ", "AZ", "PS"),
-        ("NS", "NS", "AZ", "PS", "PS"),
-        ("NS", "AZ", "AZ", "PS", "PB"),
-        ("AZ", "AZ", "PS", "PS", "PB"),
-    )
-
-    def __post_init__(self):
-        if len(self.rows) != 5 or any(len(r) != 5 for r in self.rows):
-            raise ValueError("rule table must be 5x5")
-        for i, row in enumerate(self.rows):
-            for j, cell in enumerate(row):
-                if cell not in LABELS:
-                    raise ValueError(f"unknown output label {cell!r}")
-                mirrored = self.rows[4 - i][4 - j]
-                if _NEGATE[cell] != mirrored:
-                    raise ValueError(
-                        f"rule table is not antisymmetric at ({LABELS[i]}, {LABELS[j]})"
-                    )
-
-    def output(self, de_label: str, e_label: str) -> str:
-        return self.rows[LABELS.index(de_label)][LABELS.index(e_label)]
-
-
-DEFAULT_RULES = RuleBase()
+# Output label of each rule: rows are the change-in-error label, columns the
+# error label, both in LABELS order. Negating both inputs negates the output.
+RULES = (
+    ("NB", "NS", "NS", "AZ", "AZ"),
+    ("NB", "NS", "AZ", "AZ", "PS"),
+    ("NS", "NS", "AZ", "PS", "PS"),
+    ("NS", "AZ", "AZ", "PS", "PB"),
+    ("AZ", "AZ", "PS", "PS", "PB"),
+)
 
 
 @dataclass(frozen=True)
@@ -101,18 +55,16 @@ class ControllerConfig:
     """Gains around the normalized controller.
 
     ``e_scale``/``de_scale`` map raw errors into [-1, 1]; ``dlambda_scale``
-    maps the normalized output to a raw threshold increment; ``k_p`` is an
-    outer proportional gain. There is no integral-time gain: the rule table
-    embodies the PI mixing.
+    maps the normalized output to a raw threshold increment. There is no
+    integral-time gain: the rule table embodies the PI mixing.
     """
 
     e_scale: float
     de_scale: float
     dlambda_scale: float
-    k_p: float = 1.0
 
     def __post_init__(self):
-        for name in ("e_scale", "de_scale", "dlambda_scale", "k_p"):
+        for name in ("e_scale", "de_scale", "dlambda_scale"):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -135,49 +87,40 @@ def scalarize(error_image, eh: float = 0.0) -> ScalarError:
     return ScalarError(e=e, de=e - float(eh), eh=float(eh))
 
 
-def fuzzify(u: float, bank: MembershipBank = DEFAULT_BANK) -> dict:
+def fuzzify(u: float) -> dict:
     """Grades of all five labels at ``u``, clamped into [-1, 1]."""
     u = min(1.0, max(-1.0, float(u)))
     return {
-        label: max(0.0, 1.0 - abs(u - center) / bank.half_width)
-        for label, center in zip(LABELS, bank.centers)
+        label: max(0.0, 1.0 - abs(u - center) / _HALF_WIDTH)
+        for label, center in LABEL_CENTERS.items()
     }
 
 
-def infer(e_grades: dict, de_grades: dict, rules: RuleBase = DEFAULT_RULES) -> float:
+def infer(e_grades: dict, de_grades: dict) -> float:
     """Min-AND rule firing with center-average defuzzification, in [-1, 1]."""
     numerator = 0.0
     total = 0.0
-    for de_label in LABELS:
+    for de_label, row in zip(LABELS, RULES):
         de_grade = de_grades[de_label]
         if de_grade == 0.0:
             continue
-        for e_label in LABELS:
+        for e_label, out_label in zip(LABELS, row):
             weight = min(e_grades[e_label], de_grade)
             if weight == 0.0:
                 continue
-            numerator += weight * LABEL_CENTERS[rules.output(de_label, e_label)]
+            numerator += weight * LABEL_CENTERS[out_label]
             total += weight
     return numerator / total if total > 0.0 else 0.0
 
 
-def control_step(
-    err: ScalarError,
-    cfg: ControllerConfig,
-    bank: MembershipBank = DEFAULT_BANK,
-    rules: RuleBase = DEFAULT_RULES,
-) -> float:
+def control_step(err: ScalarError, cfg: ControllerConfig) -> float:
     """Raw threshold increment for one controller evaluation."""
-    e_grades = fuzzify(err.e * cfg.e_scale, bank)
-    de_grades = fuzzify(err.de * cfg.de_scale, bank)
-    return cfg.dlambda_scale * cfg.k_p * infer(e_grades, de_grades, rules)
+    e_grades = fuzzify(err.e * cfg.e_scale)
+    de_grades = fuzzify(err.de * cfg.de_scale)
+    return cfg.dlambda_scale * infer(e_grades, de_grades)
 
 
-def output_surface(
-    grid_n: int,
-    bank: MembershipBank = DEFAULT_BANK,
-    rules: RuleBase = DEFAULT_RULES,
-) -> np.ndarray:
+def output_surface(grid_n: int) -> np.ndarray:
     """Normalized controller output on a grid over [-1, 1]^2.
 
     Entry ``[i, j]`` is the inferred output at change-in-error ``u[i]`` and
@@ -189,9 +132,9 @@ def output_surface(
     u = np.linspace(-1.0, 1.0, grid_n)
     surface = np.empty((grid_n, grid_n), dtype=np.float64)
     for i, de in enumerate(u):
-        de_grades = fuzzify(de, bank)
+        de_grades = fuzzify(de)
         for j, e in enumerate(u):
-            surface[i, j] = infer(fuzzify(e, bank), de_grades, rules)
+            surface[i, j] = infer(fuzzify(e), de_grades)
     return surface
 
 

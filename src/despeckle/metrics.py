@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from ._strips import _for_each_strip
+from ._strips import _bounds
 from .image import as_image
 
 __all__ = [
@@ -181,8 +181,7 @@ def _detect_edges(arr: np.ndarray, tau: float) -> np.ndarray:
 def _sobel_magnitude(arr: np.ndarray) -> np.ndarray:
     magnitude = np.empty(arr.shape)
     rows = arr.shape[0]
-
-    def _sobel_rows(s):
+    for s in _bounds(rows, arr[0].nbytes):
         # This strip's rows plus one row above and below, and one column
         # either side, replicated at the image border ("nearest" mode).
         top, bottom = max(s.start - 1, 0), min(s.stop + 1, rows)
@@ -195,8 +194,6 @@ def _sobel_magnitude(arr: np.ndarray) -> np.ndarray:
         gy = x[2:] - x[:-2]
         gy = 2.0 * gy[:, 1:-1] + (gy[:, :-2] + gy[:, 2:])
         np.hypot(gx, gy, out=magnitude[s])
-
-    _for_each_strip(_sobel_rows, rows, arr[0].nbytes)
     return magnitude
 
 

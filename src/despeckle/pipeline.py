@@ -4,7 +4,7 @@ The shrinkage path is homomorphic: add a positive bias, take the natural
 logarithm (turning multiplicative speckle into additive noise), run a
 single-level 2-D wavelet analysis, shrink the three detail subbands at a
 threshold (the approximation is untouched), reconstruct, exponentiate,
-and remove the bias.
+and remove the bias. :func:`despeckle` runs it once at a given threshold.
 
 Calibration closes a feedback loop around that chain: synthetic speckle
 with a chosen distribution is applied to a clean reference, the threshold
@@ -43,11 +43,9 @@ __all__ = [
     "SHRINKERS",
     "SEED_SUBBANDS",
     "PipelineConfig",
-    "CalibrationState",
     "TraceStep",
     "CalibrationResult",
     "trace_to_csv",
-    "shrink_once",
     "initial_threshold",
     "calibrate",
     "despeckle",
@@ -85,16 +83,6 @@ class PipelineConfig:
 
     def bank(self) -> FilterBank:
         return bank_by_name(self.wavelet)
-
-
-@dataclass
-class CalibrationState:
-    """Mutable loop state: current threshold, previous error, best-so-far."""
-
-    lam: float
-    eh: float = 0.0
-    best_lam: float = 0.0
-    best_me: float = float("inf")
 
 
 @dataclass(frozen=True)
@@ -163,14 +151,6 @@ def _seed_threshold(sub: Subbands, cfg: PipelineConfig) -> ThresholdEstimate:
     return universal_threshold(mad_sigma(coeffs), coeffs.size)
 
 
-def shrink_once(img, lam: float, cfg: PipelineConfig | None = None) -> np.ndarray:
-    """One pass of the homomorphic shrinkage chain at threshold ``lam``."""
-    cfg = cfg or PipelineConfig()
-    if lam < 0:
-        raise ValueError(f"threshold must be non-negative, got {lam}")
-    return _synthesise(_analyse(as_image(img), cfg), lam, cfg)
-
-
 def initial_threshold(img, cfg: PipelineConfig | None = None) -> ThresholdEstimate:
     """Universal-threshold seed from the log-domain detail coefficients."""
     cfg = cfg or PipelineConfig()
@@ -184,7 +164,6 @@ def _default_controller(peak: float, lam0: float) -> ControllerConfig:
         e_scale=1.0 / peak,
         de_scale=1.0 / peak,
         dlambda_scale=0.1 * lam0 if lam0 > 0 else 1.0,
-        k_p=1.0,
     )
 
 
@@ -192,7 +171,6 @@ def calibrate(
     clean,
     spec: SpeckleSpec,
     cfg: PipelineConfig | None = None,
-    ctl: ControllerConfig | None = None,
     epsilon: float | None = None,
     max_iter: int = 100,
 ) -> CalibrationResult:
@@ -202,7 +180,10 @@ def calibrate(
     universal threshold of the speckled image, then iterates: despeckle,
     take the signed worst-pixel error against ``clean``, let the fuzzy
     controller adjust the threshold (clamped at zero), and stop once the
-    error magnitude drops to ``epsilon`` or ``max_iter`` is reached.
+    error magnitude drops to ``epsilon`` or ``max_iter`` is reached. The
+    controller's gains are fixed: the clean image's peak maps to a
+    normalized error of 1, and one step moves the threshold by at most 10%
+    of its seed.
     ``epsilon`` is in raw gray levels; the default is 2% of the clean
     image's peak. Returns the threshold with the smallest observed error
     magnitude together with the full per-iteration trace.
@@ -210,7 +191,7 @@ def calibrate(
     The speckled image is analysed once; each distinct threshold is
     shrunk and synthesised once, and a threshold the loop returns to
     reuses its recorded error. Trace and result are the same as running
-    :func:`shrink_once` on every iteration.
+    :func:`despeckle` on every iteration.
     """
     cfg = cfg or PipelineConfig()
     clean = as_image(clean)
@@ -226,41 +207,32 @@ def calibrate(
 
     sub = _analyse(apply_speckle(clean, spec), cfg)
     lam0 = _seed_threshold(sub, cfg).lam
-    if ctl is None:
-        ctl = _default_controller(peak, lam0)
+    ctl = _default_controller(peak, lam0)
 
-    state = CalibrationState(lam=lam0, best_lam=lam0)
+    # Loop state: current threshold, previous error, best threshold so far.
+    lam, eh, best_lam, best_me = lam0, 0.0, lam0, float("inf")
     worst = {}  # lam -> signed worst-pixel error; it depends on lam alone
     trace = []
     converged = False
     for iteration in range(1, max_iter + 1):
-        if state.lam not in worst:
-            despeckled = _synthesise(sub, state.lam, cfg)
-            worst[state.lam] = scalarize(subtract(clean, despeckled)).e
-        e = worst[state.lam]
-        err = ScalarError(e=e, de=e - state.eh, eh=state.eh)
+        if lam not in worst:
+            worst[lam] = scalarize(subtract(clean, _synthesise(sub, lam, cfg))).e
+        e = worst[lam]
+        err = ScalarError(e=e, de=e - eh, eh=eh)
         dlam = control_step(err, ctl)
         me = abs(err.e)
         trace.append(
-            TraceStep(
-                iteration=iteration,
-                e=err.e,
-                de=err.de,
-                dlambda=dlam,
-                lam=state.lam,
-                me=me,
-            )
+            TraceStep(iteration=iteration, e=err.e, de=err.de, dlambda=dlam, lam=lam, me=me)
         )
-        if me < state.best_me:
-            state.best_me = me
-            state.best_lam = state.lam
-        state.eh = err.e
+        if me < best_me:
+            best_me, best_lam = me, lam
+        eh = err.e
         if me <= epsilon:
             converged = True
             break
-        state.lam = max(state.lam + dlam, 0.0)
+        lam = max(lam + dlam, 0.0)
     return CalibrationResult(
-        lambda_star=state.best_lam,
+        lambda_star=best_lam,
         iterations=len(trace),
         converged=converged,
         trace=tuple(trace),
@@ -268,8 +240,12 @@ def calibrate(
 
 
 def despeckle(noisy, lambda_star: float, cfg: PipelineConfig | None = None) -> np.ndarray:
-    """Apply a calibrated threshold open-loop to a new image."""
-    return shrink_once(noisy, lambda_star, cfg)
+    """One pass of the homomorphic shrinkage chain at threshold
+    ``lambda_star``: apply a calibrated threshold open-loop to a new image."""
+    cfg = cfg or PipelineConfig()
+    if not lambda_star >= 0:
+        raise ValueError(f"threshold must be a non-negative number, got {lambda_star}")
+    return _synthesise(_analyse(as_image(noisy), cfg), lambda_star, cfg)
 
 
 def _check_kernel(kernel: int, shape) -> int:

@@ -68,15 +68,15 @@ def universal_threshold(delta_mad: float, n: int) -> ThresholdEstimate:
 
 def hard_threshold(sub, lam: float) -> np.ndarray:
     """Zero every coefficient with ``|x| <= lam``; keep the rest verbatim."""
-    if lam < 0:
-        raise ValueError(f"threshold must be non-negative, got {lam}")
+    if not lam >= 0:
+        raise ValueError(f"threshold must be a non-negative number, got {lam}")
     x = np.asarray(sub, dtype=np.float64)
     return np.where(np.abs(x) <= lam, 0.0, x)
 
 
 def soft_threshold(sub, lam: float) -> np.ndarray:
     """Shrink magnitudes toward zero: ``sign(x) * max(|x| - lam, 0)``."""
-    if lam < 0:
-        raise ValueError(f"threshold must be non-negative, got {lam}")
+    if not lam >= 0:
+        raise ValueError(f"threshold must be a non-negative number, got {lam}")
     x = np.asarray(sub, dtype=np.float64)
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._strips import _for_each_strip
+from ._strips import _bounds
 from .image import as_image
 
 __all__ = [
@@ -115,12 +115,12 @@ def daubechies_taps(order: int) -> FilterBank:
     raise ValueError(f"unsupported Daubechies order {order}; supported orders: 1, 2, 4")
 
 
-SUPPORTED_BANKS = ("haar", "db1", "db2", "db4")
+SUPPORTED_BANKS = ("haar", "db2", "db4")
 
 
 def bank_by_name(name: str) -> FilterBank:
-    """Look up a filter bank by name: haar/db1, db2, or db4."""
-    orders = {"haar": 1, "db1": 1, "db2": 2, "db4": 4}
+    """Look up a filter bank by name: haar, db2, or db4."""
+    orders = {"haar": 1, "db2": 2, "db4": 4}
     if name not in orders:
         raise ValueError(f"unknown wavelet {name!r}; supported: {', '.join(SUPPORTED_BANKS)}")
     return daubechies_taps(orders[name])
@@ -211,11 +211,8 @@ def dwt2(img, bank: FilterBank) -> Subbands:
         x = np.pad(x, ((0, rows % 2), (0, cols % 2)), mode="edge")
     h, g = bank.lowpass, bank.highpass
     lo, hi = (np.empty((x.shape[0], x.shape[1] // 2)) for _ in range(2))
-
-    def _analyze_rows(s):
+    for s in _bounds(x.shape[0], x[0].nbytes):
         _analyze_axis(x[s], h, g, 1, lo[s], hi[s])
-
-    _for_each_strip(_analyze_rows, x.shape[0], x[0].nbytes)
     ca, chd, cvd, cdd = (np.empty((x.shape[0] // 2, x.shape[1] // 2)) for _ in range(4))
     _analyze_axis(lo, h, g, 0, ca, chd)
     _analyze_axis(hi, h, g, 0, cvd, cdd)
@@ -231,10 +228,7 @@ def idwt2(sub: Subbands, bank: FilterBank) -> np.ndarray:
     _synthesize_axis(sub.ca, sub.chd, h, g, 0, lo)
     _synthesize_axis(sub.cvd, sub.cdd, h, g, 0, hi)
     full = np.empty((2 * half_rows, 2 * half_cols))
-
-    def _synthesize_rows(s):
+    for s in _bounds(full.shape[0], full[0].nbytes):
         _synthesize_axis(lo[s], hi[s], h, g, 1, full[s])
-
-    _for_each_strip(_synthesize_rows, full.shape[0], full[0].nbytes)
     rows, cols = sub.shape
     return full[:rows, :cols]

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from despeckle.fuzzy import DEFAULT_BANK, DEFAULT_RULES, LABEL_CENTERS, fuzzify, infer
+from despeckle.fuzzy import LABEL_CENTERS, RULES, fuzzify, infer
 from despeckle.image import write_pgm
 from despeckle.metrics import (
     deflection_ratio,
@@ -25,7 +25,6 @@ from despeckle.pipeline import (
     despeckle,
     lee_filter,
     median_filter_homomorphic,
-    shrink_once,
 )
 from despeckle.speckle import SpeckleSpec, apply_speckle, generate_speckle
 from despeckle.thresholding import (
@@ -89,10 +88,10 @@ def test_criterion_2_membership_table_fidelity():
 
 def test_criterion_3_rule_table_fidelity_and_antisymmetry():
     with criterion(3, "rule table fidelity"):
-        for i, de_center in enumerate(DEFAULT_BANK.centers):
-            for j, e_center in enumerate(DEFAULT_BANK.centers):
+        for i, de_center in enumerate(LABEL_CENTERS.values()):
+            for j, e_center in enumerate(LABEL_CENTERS.values()):
                 out = infer(fuzzify(e_center), fuzzify(de_center))
-                assert out == LABEL_CENTERS[DEFAULT_RULES.rows[i][j]], (i, j)
+                assert out == LABEL_CENTERS[RULES[i][j]], (i, j)
         grid = np.linspace(-1.0, 1.0, 101)
         grades = {u: fuzzify(u) for u in grid}
         neg_grades = {u: fuzzify(-u) for u in grid}
@@ -138,7 +137,7 @@ def test_criterion_6_shrinkage_identities():
         for shrink in ("hard", "soft"):
             from despeckle.pipeline import PipelineConfig
 
-            out = shrink_once(img, 0.0, PipelineConfig(shrink=shrink))
+            out = despeckle(img, 0.0, PipelineConfig(shrink=shrink))
             assert np.abs(out - img).max() <= 1e-10
         # oddness and idempotence hold bitwise on arbitrary floats
         x = rng.standard_normal(10_000) * 5.0

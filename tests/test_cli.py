@@ -96,6 +96,16 @@ def test_despeckle_echoes_lambda_and_zero_is_identity(clean_pgm, tmp_path):
     assert out.read_bytes() == clean_pgm.read_bytes()
 
 
+@pytest.mark.parametrize("shrink", ["hard", "soft"])
+def test_despeckle_nan_lambda_fails(clean_pgm, tmp_path, shrink):
+    out = tmp_path / "out.pgm"
+    proc = run_cli("despeckle", clean_pgm, out, "--lambda", "nan", "--shrink", shrink)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: threshold must be a non-negative number, got nan")
+    assert not out.exists()
+
+
 def test_baseline_median_and_lee(clean_pgm, tmp_path):
     for name in ("median", "lee"):
         out = tmp_path / f"{name}.pgm"
@@ -109,6 +119,16 @@ def test_baseline_even_kernel_rejected(clean_pgm, tmp_path):
     proc = run_cli("baseline", clean_pgm, tmp_path / "o.pgm", "--kernel", "2")
     assert proc.returncode != 0
     assert "kernel" in proc.stderr
+
+
+@pytest.mark.parametrize("name, looks", [("lee", "0"), ("median", "-2")])
+def test_baseline_nonpositive_looks_rejected(clean_pgm, tmp_path, name, looks):
+    out = tmp_path / "o.pgm"
+    proc = run_cli("baseline", clean_pgm, out, "--filter", name, "--looks", looks)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: looks must be a positive integer, got {looks}")
+    assert not out.exists()
 
 
 def test_metrics_prints_table_order(clean_pgm, tmp_path):

@@ -15,7 +15,6 @@ from despeckle.pipeline import (
     initial_threshold,
     lee_filter,
     median_filter_homomorphic,
-    shrink_once,
     trace_to_csv,
 )
 from despeckle.speckle import SpeckleSpec, apply_speckle
@@ -23,20 +22,20 @@ from despeckle.thresholding import hard_threshold, mad_sigma
 from despeckle.wavelet import bank_by_name, dwt2
 
 
-# ---------------------------------------------------------------- shrink_once
+# ---------------------------------------------------------------- despeckle
 
 
 def test_shrink_once_zero_threshold_is_identity():
     rng = np.random.default_rng(30)
     img = rng.uniform(0, 255, size=(32, 32))
-    out = shrink_once(img, 0.0)
+    out = despeckle(img, 0.0)
     assert np.abs(out - img).max() <= 1e-10
 
 
 def test_shrink_once_zero_threshold_identity_odd_dims():
     rng = np.random.default_rng(31)
     img = rng.uniform(0, 255, size=(15, 21))
-    assert np.abs(shrink_once(img, 0.0) - img).max() <= 1e-10
+    assert np.abs(despeckle(img, 0.0) - img).max() <= 1e-10
 
 
 def test_shrink_once_huge_threshold_keeps_approximation_only():
@@ -53,27 +52,33 @@ def test_shrink_once_huge_threshold_keeps_approximation_only():
     from despeckle.wavelet import idwt2
 
     expected = np.maximum(exp_domain(idwt2(ca_only, cfg.bank()), cfg.bias), 0.0)
-    assert_allclose(shrink_once(img, lam, cfg), expected, rtol=0, atol=1e-10)
+    assert_allclose(despeckle(img, lam, cfg), expected, rtol=0, atol=1e-10)
 
 
 def test_shrink_once_smooths_speckled_constant():
     img = np.full((64, 64), 100.0)
     noisy = apply_speckle(img, SpeckleSpec(kind="gamma", looks=3, seed=1))
-    out = shrink_once(noisy, 0.5)
+    out = despeckle(noisy, 0.5)
     assert nmv_nv_nsd(out)[1] < nmv_nv_nsd(noisy)[1]
 
 
 def test_shrink_once_preserves_shape_and_nonnegativity():
     rng = np.random.default_rng(33)
     img = rng.uniform(0, 50, size=(17, 19))
-    out = shrink_once(img, 3.0)
+    out = despeckle(img, 3.0)
     assert out.shape == img.shape
     assert np.all(out >= 0.0)
 
 
 def test_shrink_once_rejects_negative_threshold():
     with pytest.raises(ValueError):
-        shrink_once(np.ones((4, 4)), -1.0)
+        despeckle(np.ones((4, 4)), -1.0)
+
+
+@pytest.mark.parametrize("shrink", ["hard", "soft"])
+def test_despeckle_rejects_nan_threshold(shrink):
+    with pytest.raises(ValueError, match="threshold .* got nan"):
+        despeckle(np.ones((4, 4)), float("nan"), PipelineConfig(shrink=shrink))
 
 
 def test_detail_energy_monotone_in_threshold():
@@ -237,7 +242,7 @@ def test_trace_csv_round_trip():
 
 
 def _reference_calibrate(clean, spec, cfg, max_iter=100):
-    """Reference loop: the whole chain through shrink_once on every
+    """Reference loop: the whole chain through despeckle on every
     iteration, with calibrate's default controller and epsilon."""
     peak = float(np.abs(clean).max())
     noisy = apply_speckle(clean, spec)
@@ -247,7 +252,7 @@ def _reference_calibrate(clean, spec, cfg, max_iter=100):
     trace = []
     converged = False
     for iteration in range(1, max_iter + 1):
-        err = scalarize(subtract(clean, shrink_once(noisy, lam, cfg)), eh)
+        err = scalarize(subtract(clean, despeckle(noisy, lam, cfg)), eh)
         dlam = control_step(err, ctl)
         me = abs(err.e)
         trace.append(TraceStep(iteration, err.e, err.de, dlam, lam, me))
@@ -422,7 +427,7 @@ def test_filters_preserve_shape_and_nonnegativity():
     for out in (
         median_filter_homomorphic(img, 3),
         lee_filter(img, 3, 0.3),
-        shrink_once(img, 1.0),
+        despeckle(img, 1.0),
     ):
         assert out.shape == img.shape
         assert np.all(out >= 0.0)

@@ -1,5 +1,5 @@
 """Property tests over arbitrary image shapes, even and odd, from single
-pixels to images that span several strips."""
+pixels to images that span several strips, and over arbitrary file bytes."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,9 @@ from scipy import ndimage
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from despeckle.image import PgmError, read_f64, read_pgm, write_f64, write_pgm  # noqa: E402
 from despeckle.metrics import _sobel_magnitude, detect_edges  # noqa: E402
 from despeckle.wavelet import bank_by_name, dwt2, idwt2  # noqa: E402
 
@@ -59,3 +61,84 @@ def test_detect_edges_equals_sobel_oracle(img, tau):
     peak = magnitude.max()
     expected = magnitude >= tau * peak if peak > 0.0 else np.zeros(img.shape, dtype=bool)
     assert_array_equal(detect_edges(img, tau), expected)
+
+
+file_shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)
+
+
+def _gray_levels(maxval):
+    return hnp.arrays(np.float64, file_shapes, elements=st.integers(0, maxval).map(float))
+
+
+finite_images = hnp.arrays(
+    np.float64, file_shapes, elements=st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(deadline=2000)
+@given(maxval=st.sampled_from([255, 65535]), data=st.data())
+def test_pgm_round_trip(maxval, data):
+    img = data.draw(_gray_levels(maxval))
+    assert_array_equal(read_pgm(write_pgm(img, maxval)), img)
+
+
+@settings(deadline=2000)
+@given(img=finite_images)
+def test_f64_round_trip_is_bit_exact(img):
+    out = read_f64(write_f64(img))
+    assert out.shape == img.shape
+    assert out.tobytes() == img.tobytes()
+
+
+def _encoded(images, reader, write, sample_bytes):
+    """(reader, file bytes, header length) of each drawn image."""
+
+    def encode(img):
+        data = write(img)
+        return reader, data, len(data) - img.size * sample_bytes
+
+    return images.map(encode)
+
+
+encoded_files = st.one_of(
+    _encoded(_gray_levels(255), read_pgm, lambda img: write_pgm(img, 255), 1),
+    _encoded(_gray_levels(65535), read_pgm, lambda img: write_pgm(img, 65535), 2),
+    _encoded(finite_images, read_f64, write_f64, 8),
+)
+
+# One edit of an encoded file: overwrite, insert or delete a byte, or cut the
+# file short, at an offset in the header or anywhere in the file, with a byte
+# that favours header syntax.
+edits = st.tuples(
+    st.sampled_from(["set", "insert", "delete", "truncate"]),
+    st.booleans(),
+    st.integers(0, 1 << 16),
+    st.one_of(st.sampled_from(b"-0123456789 \n#"), st.integers(0, 255)),
+)
+
+
+def _mutate(data, header_bytes, changes):
+    buf = bytearray(data)
+    for kind, in_header, offset, value in changes:
+        span = min(header_bytes, len(buf)) if in_header else len(buf)
+        i = offset % (span + 1)
+        if kind == "set" and i < len(buf):
+            buf[i] = value
+        elif kind == "insert":
+            buf[i:i] = bytes([value])
+        elif kind == "delete":
+            del buf[i : i + 1]
+        elif kind == "truncate":
+            del buf[i:]
+    return bytes(buf)
+
+
+@settings(deadline=2000)
+@given(encoded=encoded_files, changes=st.lists(edits, min_size=1, max_size=8))
+def test_mutated_files_fail_only_with_pgm_error(encoded, changes):
+    reader, data, header_bytes = encoded
+    try:
+        img = reader(_mutate(data, header_bytes, changes))
+    except PgmError:
+        return
+    assert img.ndim == 2 and img.dtype == np.float64

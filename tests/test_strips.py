@@ -1,7 +1,5 @@
 import contextlib
-import inspect
 import io
-import sys
 import threading
 
 import numpy as np
@@ -14,14 +12,6 @@ from despeckle.metrics import detect_edges, full_report
 from despeckle.pipeline import calibrate
 from despeckle.speckle import SpeckleSpec, apply_speckle
 from despeckle.wavelet import bank_by_name, dwt2, idwt2
-
-
-def _package_modules():
-    return [
-        mod
-        for name, mod in sorted(sys.modules.items())
-        if mod is not None and (name == "despeckle" or name.startswith("despeckle."))
-    ]
 
 
 @pytest.mark.parametrize(
@@ -54,38 +44,6 @@ def test_no_thread_starts_at_any_size(phantom, tmp_path):
     idwt2(dwt2(img, bank), bank)
     full_report(img, img * 1.5, img)
     assert threading.active_count() == before
-
-
-def test_strip_functions_are_private(monkeypatch):
-    # The benchmark's tracer wraps every public package function; a public
-    # strip function would count one span per strip.
-    helper = _strips._for_each_strip
-    strip_functions = []
-
-    def recording(fn, lines, line_bytes):
-        strip_functions.append(fn)
-        return helper(fn, lines, line_bytes)
-
-    for mod in _package_modules():
-        for attr, obj in list(vars(mod).items()):
-            if obj is helper:
-                monkeypatch.setattr(mod, attr, recording)
-
-    rng = np.random.default_rng(31)
-    img = rng.uniform(1.0, 255.0, size=(1031, 515))
-    bank = bank_by_name("db4")
-    idwt2(dwt2(img, bank), bank)
-    detect_edges(img)
-    full_report(img, img * 1.5, img)
-    assert len(strip_functions) >= 5
-    assert all(fn.__name__.startswith("_") for fn in strip_functions)
-    exported = {id(obj) for mod in _package_modules() for obj in vars(mod).values()}
-    assert not exported & {id(fn) for fn in strip_functions}
-    assert not [
-        name
-        for name, obj in vars(_strips).items()
-        if inspect.isfunction(obj) and obj.__module__ == _strips.__name__ and name[0] != "_"
-    ]
 
 
 @pytest.mark.parametrize("strip_bytes", [1 << 14, 1 << 40])

@@ -92,6 +92,12 @@ def test_negative_threshold_rejected():
         soft_threshold(np.zeros(3), -0.5)
 
 
+@pytest.mark.parametrize("shrink", [hard_threshold, soft_threshold])
+def test_nan_threshold_rejected(shrink):
+    with pytest.raises(ValueError, match="got nan"):
+        shrink(np.zeros(3), float("nan"))
+
+
 def test_shrinker_algebra_exact_on_dyadic_lattice():
     # Quarter-integer coefficients and thresholds make every operation
     # exact in binary floating point, so the laws hold bitwise.
