@@ -36,7 +36,7 @@ from .pipeline import (
 from .speckle import KINDS, SpeckleSpec, apply_speckle
 from .wavelet import SUPPORTED_BANKS
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 def _read_image(path: str) -> np.ndarray:

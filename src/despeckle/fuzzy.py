@@ -11,7 +11,8 @@ caller's gains into a raw threshold increment.
 
 Scalarization reduces an error image to a signed scalar: the value of the
 pixel with the largest magnitude (ties broken toward the smallest row,
-then column), plus its change against the previous value.
+then column). The calibration loop pairs it with its change against the
+previous iteration's value.
 """
 
 import io
@@ -72,19 +73,22 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class ScalarError:
-    """Signed peak error ``e``, its change ``de``, and the previous error ``eh``."""
+    """Signed peak error ``e`` and its change ``de`` against the previous error."""
 
     e: float = 0.0
     de: float = 0.0
-    eh: float = 0.0
 
 
-def scalarize(error_image, eh: float = 0.0) -> ScalarError:
-    """Reduce an error image to its signed extreme value and change vs ``eh``."""
+def scalarize(error_image) -> ScalarError:
+    """Reduce an error image to its signed extreme value ``e``.
+
+    With no previous error, the change ``de`` equals ``e``; a loop that
+    keeps the previous error builds ``ScalarError(e, e - previous)``.
+    """
     arr = as_image(error_image)
     flat = int(np.argmax(np.abs(arr)))  # first occurrence: smallest row, then column
     e = float(arr.flat[flat])
-    return ScalarError(e=e, de=e - float(eh), eh=float(eh))
+    return ScalarError(e=e, de=e)
 
 
 def fuzzify(u: float) -> dict:
@@ -138,13 +142,14 @@ def output_surface(grid_n: int) -> np.ndarray:
     return surface
 
 
-def surface_to_csv(surface: np.ndarray, e_min: float = -1.0, e_max: float = 1.0) -> str:
-    """CSV export: a two-line header (names, then e_min/e_max/n) and the
-    grid values row-major."""
+def surface_to_csv(surface: np.ndarray) -> str:
+    """CSV export of an :func:`output_surface` grid: a two-line header
+    (names, then the span ``-1.0,1.0`` over which the surface is always
+    sampled, and n) and the grid values row-major."""
     surface = np.asarray(surface, dtype=np.float64)
     buf = io.StringIO()
     buf.write("e_min,e_max,n\n")
-    buf.write(f"{e_min!r},{e_max!r},{surface.shape[0]}\n")
+    buf.write(f"-1.0,1.0,{surface.shape[0]}\n")
     for row in surface.tolist():
         buf.write(",".join(repr(v) for v in row))
         buf.write("\n")

@@ -138,7 +138,8 @@ def write_pgm(img, maxval: int = 255) -> bytes:
 
 
 def read_f64(data: bytes) -> np.ndarray:
-    """Parse the raw float64 exchange format (``F64`` magic)."""
+    """Parse the raw float64 exchange format (``F64`` magic); every sample
+    must be finite."""
     if data[:4] != b"F64\n":
         raise PgmError(f"expected magic 'F64\\n' at byte 0, got {data[:4]!r}")
     end = data.find(b"\n", 4)
@@ -165,7 +166,12 @@ def read_f64(data: bytes) -> np.ndarray:
             f"{len(data) - end - 1 - need} unexpected byte(s) after the last sample "
             f"at byte {end + 1 + need}"
         )
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
+    samples = np.frombuffer(payload, dtype="<f8")
+    nonfinite = np.flatnonzero(~np.isfinite(samples))
+    if nonfinite.size:
+        first = int(nonfinite[0])
+        raise PgmError(f"non-finite sample {samples[first]} at byte {end + 1 + first * 8}")
+    return samples.reshape(rows, cols).astype(np.float64)
 
 
 def write_f64(img) -> bytes:

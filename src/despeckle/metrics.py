@@ -65,8 +65,12 @@ class MetricsConfig:
             raise ValueError(f"block must be >= 2, got {self.block}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _check_alpha(self.alpha)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -229,8 +233,7 @@ def pratt_fom(detected: np.ndarray, ideal: np.ndarray, alpha: float = 1.0 / 9.0)
     ideal = np.asarray(ideal, dtype=bool)
     if detected.shape != ideal.shape:
         raise ValueError(f"shape mismatch: {detected.shape} vs {ideal.shape}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     n_detected = int(detected.sum())
     n_ideal = int(ideal.sum())
     if n_ideal == 0:

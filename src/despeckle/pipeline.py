@@ -218,7 +218,7 @@ def calibrate(
         if lam not in worst:
             worst[lam] = scalarize(subtract(clean, _synthesise(sub, lam, cfg))).e
         e = worst[lam]
-        err = ScalarError(e=e, de=e - eh, eh=eh)
+        err = ScalarError(e=e, de=e - eh)
         dlam = control_step(err, ctl)
         me = abs(err.e)
         trace.append(

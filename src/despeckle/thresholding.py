@@ -35,15 +35,6 @@ class ThresholdEstimate:
     lam: float
     n: int
 
-    def __post_init__(self):
-        if self.delta_mad < 0 or self.lam < 0 or self.n < 2:
-            raise ValueError("invalid threshold estimate")
-        expected = self.delta_mad * math.sqrt(2.0 * math.log(self.n))
-        if abs(self.lam - expected) > 1e-12 * max(1.0, expected):
-            raise ValueError(
-                f"threshold {self.lam!r} inconsistent with delta_mad={self.delta_mad!r}, n={self.n}"
-            )
-
 
 def mad_sigma(coeffs) -> float:
     """Median absolute deviation of ``coeffs`` rescaled by 1/0.6745."""

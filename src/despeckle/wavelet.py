@@ -50,7 +50,6 @@ from .image import as_image
 __all__ = [
     "FilterBank",
     "Subbands",
-    "daubechies_taps",
     "bank_by_name",
     "dwt2",
     "idwt2",
@@ -61,24 +60,27 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 
 # Scaling (lowpass analysis) taps. db2 is exact in closed form; db4 taps
-# are standard published constants, validated against the orthonormality
-# and perfect-reconstruction invariants by the test suite.
-_DB2_LOWPASS = (
-    (1.0 + _SQRT3) / (4.0 * _SQRT2),
-    (3.0 + _SQRT3) / (4.0 * _SQRT2),
-    (3.0 - _SQRT3) / (4.0 * _SQRT2),
-    (1.0 - _SQRT3) / (4.0 * _SQRT2),
-)
-_DB4_LOWPASS = (
-    0.2303778133088965,
-    0.7148465705529156,
-    0.6308807679298589,
-    -0.027983769416859854,
-    -0.18703481171909308,
-    0.030841381835560764,
-    0.0328830116668852,
-    -0.010597401785069032,
-)
+# are standard published constants. The test suite checks every bank's
+# sum, energy, even-shift orthonormality and perfect reconstruction.
+_LOWPASS = {
+    "haar": (1.0 / _SQRT2, 1.0 / _SQRT2),
+    "db2": (
+        (1.0 + _SQRT3) / (4.0 * _SQRT2),
+        (3.0 + _SQRT3) / (4.0 * _SQRT2),
+        (3.0 - _SQRT3) / (4.0 * _SQRT2),
+        (1.0 - _SQRT3) / (4.0 * _SQRT2),
+    ),
+    "db4": (
+        0.2303778133088965,
+        0.7148465705529156,
+        0.6308807679298589,
+        -0.027983769416859854,
+        -0.18703481171909308,
+        0.030841381835560764,
+        0.0328830116668852,
+        -0.010597401785069032,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -89,41 +91,23 @@ class FilterBank:
     lowpass: np.ndarray
     highpass: np.ndarray
 
-    @classmethod
-    def from_lowpass(cls, name: str, taps) -> "FilterBank":
-        h = np.asarray(taps, dtype=np.float64)
-        if h.ndim != 1 or h.size < 2 or h.size % 2:
-            raise ValueError(f"{name}: lowpass must be a 1-D even-length tap sequence")
-        if not np.all(np.isfinite(h)):
-            raise ValueError(f"{name}: non-finite tap values")
-        if abs(h.sum() - _SQRT2) > 1e-10:
-            raise ValueError(f"{name}: lowpass taps must sum to sqrt(2), got {h.sum()!r}")
-        if abs(np.dot(h, h) - 1.0) > 1e-10:
-            raise ValueError(f"{name}: lowpass taps must have unit energy, got {np.dot(h, h)!r}")
-        g = ((-1.0) ** np.arange(h.size)) * h[::-1]
-        return cls(name=name, lowpass=h, highpass=g)
+
+def _bank(name: str, taps: tuple) -> FilterBank:
+    h = np.array(taps, dtype=np.float64)
+    g = ((-1.0) ** np.arange(h.size)) * h[::-1]
+    h.flags.writeable = g.flags.writeable = False  # one instance per name is shared
+    return FilterBank(name=name, lowpass=h, highpass=g)
 
 
-def daubechies_taps(order: int) -> FilterBank:
-    """Return the orthogonal Daubechies bank of the given order (1, 2, or 4)."""
-    if order == 1:
-        return FilterBank.from_lowpass("haar", (1.0 / _SQRT2, 1.0 / _SQRT2))
-    if order == 2:
-        return FilterBank.from_lowpass("db2", _DB2_LOWPASS)
-    if order == 4:
-        return FilterBank.from_lowpass("db4", _DB4_LOWPASS)
-    raise ValueError(f"unsupported Daubechies order {order}; supported orders: 1, 2, 4")
-
-
-SUPPORTED_BANKS = ("haar", "db2", "db4")
+_BANKS = {name: _bank(name, taps) for name, taps in _LOWPASS.items()}
+SUPPORTED_BANKS = tuple(_BANKS)
 
 
 def bank_by_name(name: str) -> FilterBank:
-    """Look up a filter bank by name: haar, db2, or db4."""
-    orders = {"haar": 1, "db2": 2, "db4": 4}
-    if name not in orders:
+    """The shared, read-only filter bank of the given name: haar, db2, or db4."""
+    if name not in _BANKS:
         raise ValueError(f"unknown wavelet {name!r}; supported: {', '.join(SUPPORTED_BANKS)}")
-    return daubechies_taps(orders[name])
+    return _BANKS[name]
 
 
 @dataclass(frozen=True)

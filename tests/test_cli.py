@@ -145,6 +145,23 @@ def test_metrics_prints_table_order(clean_pgm, tmp_path):
     assert "NV" in proc.stderr  # human-readable table goes to stderr
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_metrics_nonfinite_alpha_fails(clean_pgm, alpha):
+    proc = run_cli("metrics", clean_pgm, clean_pgm, clean_pgm, "--alpha", alpha)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: alpha must be positive and finite, got {alpha}")
+
+
+def test_metrics_image_smaller_than_one_enl_tile_fails(tmp_path):
+    tiny = tmp_path / "tiny.pgm"
+    tiny.write_bytes(write_pgm(np.arange(400.0).reshape(20, 20) % 256, 255))
+    proc = run_cli("metrics", tiny, tiny, tiny)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: image (20, 20) smaller than one 25x25 block")
+
+
 def test_surface_csv(tmp_path):
     out = tmp_path / "surface.csv"
     proc = run_cli("surface", out, "--grid-n", "5")

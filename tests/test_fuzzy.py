@@ -117,23 +117,23 @@ def test_infer_monotone_in_error_on_grid():
 
 
 def test_scalarize_signed_peak():
-    err = scalarize(np.array([[1.0, -5.0], [2.0, 3.0]]), eh=0.0)
+    err = scalarize(np.array([[1.0, -5.0], [2.0, 3.0]]))
     assert err.e == -5.0 and err.de == -5.0
 
 
 def test_scalarize_zero_image():
-    err = scalarize(np.zeros((3, 3)), eh=0.0)
+    err = scalarize(np.zeros((3, 3)))
     assert err.e == 0.0 and err.de == 0.0
 
 
 def test_scalarize_tie_breaks_to_first_position():
-    err = scalarize(np.array([[4.0, -4.0]]), eh=1.0)
-    assert err.e == 4.0 and err.de == 3.0
+    err = scalarize(np.array([[4.0, -4.0]]))
+    assert err.e == 4.0 and err.de == 4.0
 
 
 def test_scalar_error_defaults_zero():
     err = ScalarError()
-    assert err.e == 0.0 and err.de == 0.0 and err.eh == 0.0
+    assert err.e == 0.0 and err.de == 0.0
 
 
 def test_control_step_zero_at_origin():
@@ -143,7 +143,7 @@ def test_control_step_zero_at_origin():
 
 def test_control_step_gain_and_antisymmetry():
     cfg = ControllerConfig(e_scale=1.0, de_scale=1.0, dlambda_scale=0.1)
-    assert control_step(ScalarError(e=-1.0, de=-1.0, eh=0.0), cfg) == pytest.approx(-0.1)
+    assert control_step(ScalarError(e=-1.0, de=-1.0), cfg) == pytest.approx(-0.1)
     rng = np.random.default_rng(4)
     for _ in range(200):
         e, de = rng.uniform(-2, 2, size=2)

@@ -116,6 +116,15 @@ def test_f64_rejects_trailing_bytes_names_offset():
         read_f64(data)
 
 
+@pytest.mark.parametrize("index, value", [(5, np.nan), (0, np.inf)])
+def test_f64_rejects_nonfinite_sample_names_offset(index, value):
+    samples = np.arange(6.0)
+    samples[index] = value
+    data = b"F64\n2 3\n" + samples.astype("<f8").tobytes()
+    with pytest.raises(PgmError, match=f"non-finite sample {value} at byte {8 + 8 * index}$"):
+        read_f64(data)
+
+
 def test_log_domain_values():
     assert log_domain(np.array([[0.0]]), 1.0)[0, 0] == 0.0
     assert log_domain(np.array([[math.e - 1.0]]), 1.0)[0, 0] == pytest.approx(1.0, rel=1e-15)

@@ -298,3 +298,19 @@ def test_metrics_config_validation():
         MetricsConfig(tau=1.5)
     with pytest.raises(ValueError):
         MetricsConfig(alpha=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_alpha_must_be_positive_and_finite(alpha):
+    edges = np.zeros((8, 8), dtype=bool)
+    edges[2, 2] = True
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        MetricsConfig(alpha=alpha)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        pratt_fom(edges, edges, alpha=alpha)
+
+
+def test_full_report_rejects_image_smaller_than_one_enl_tile():
+    img = np.arange(400.0).reshape(20, 20)
+    with pytest.raises(ValueError, match=r"image \(20, 20\) smaller than one 25x25 block"):
+        full_report(img, img, img)

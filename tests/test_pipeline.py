@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import despeckle.pipeline as pipeline_mod
-from despeckle.fuzzy import control_step, scalarize
+from despeckle.fuzzy import ScalarError, control_step, scalarize
 from despeckle.image import log_domain, subtract
 from despeckle.metrics import nmv_nv_nsd
 from despeckle.pipeline import (
@@ -252,7 +252,8 @@ def _reference_calibrate(clean, spec, cfg, max_iter=100):
     trace = []
     converged = False
     for iteration in range(1, max_iter + 1):
-        err = scalarize(subtract(clean, despeckle(noisy, lam, cfg)), eh)
+        e = scalarize(subtract(clean, despeckle(noisy, lam, cfg))).e
+        err = ScalarError(e=e, de=e - eh)
         dlam = control_step(err, ctl)
         me = abs(err.e)
         trace.append(TraceStep(iteration, err.e, err.de, dlam, lam, me))

@@ -11,8 +11,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from despeckle.image import PgmError, read_f64, read_pgm, write_f64, write_pgm  # noqa: E402
+from despeckle.image import PgmError, log_domain, read_f64, read_pgm, write_f64, write_pgm  # noqa: E402
 from despeckle.metrics import _sobel_magnitude, detect_edges  # noqa: E402
+from despeckle.speckle import KINDS, SpeckleSpec, generate_speckle  # noqa: E402
+from despeckle.thresholding import hard_threshold, soft_threshold  # noqa: E402
 from despeckle.wavelet import bank_by_name, dwt2, idwt2  # noqa: E402
 
 # Small shapes, and shapes of 2.2-4.3 MiB whose row passes cut into 2-4 strips.
@@ -49,6 +51,37 @@ def test_dwt_perfect_reconstruction_and_parseval(img, name):
     padded = np.pad(img, ((0, rows % 2), (0, cols % 2)), mode="edge")
     energy = sum(float(np.sum(b * b)) for b in (sub.ca, sub.chd, sub.cvd, sub.cdd))
     assert energy == pytest.approx(float(np.sum(padded * padded)), rel=1e-10, abs=1e-10)
+
+
+@settings(deadline=2000)
+@given(
+    img=images,
+    name=st.sampled_from(["haar", "db2", "db4"]),
+    shrink=st.sampled_from([hard_threshold, soft_threshold]),
+    lams=st.lists(st.floats(0.0, 8.0), min_size=2, max_size=6),
+)
+def test_detail_energy_non_increasing_in_threshold(img, name, shrink, lams):
+    sub = dwt2(log_domain(img), bank_by_name(name))
+    energies = [
+        sum(float(np.sum(shrink(band, lam) ** 2)) for band in (sub.chd, sub.cvd, sub.cdd))
+        for lam in sorted(lams)
+    ]
+    assert all(later <= earlier for earlier, later in zip(energies, energies[1:]))
+
+
+@settings(deadline=2000)
+@given(
+    rows=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    cols=st.integers(1, 40),
+    kind=st.sampled_from(KINDS),
+    looks=st.integers(1, 4),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_speckle_row_is_independent_of_row_count(rows, cols, kind, looks, seed):
+    spec = SpeckleSpec(kind=kind, looks=looks, seed=seed)
+    a, b = (generate_speckle(n, cols, spec) for n in rows)
+    common = min(rows)
+    assert a[:common].tobytes() == b[:common].tobytes()
 
 
 @settings(deadline=2000)
@@ -142,3 +175,4 @@ def test_mutated_files_fail_only_with_pgm_error(encoded, changes):
     except PgmError:
         return
     assert img.ndim == 2 and img.dtype == np.float64
+    assert np.all(np.isfinite(img))

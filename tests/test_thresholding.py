@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from despeckle.thresholding import (
-    ThresholdEstimate,
     hard_threshold,
     mad_sigma,
     soft_threshold,
@@ -62,11 +61,6 @@ def test_universal_threshold_monotone():
 def test_universal_threshold_rejects_small_n():
     with pytest.raises(ValueError):
         universal_threshold(1.0, 1)
-
-
-def test_threshold_estimate_invariant_enforced():
-    with pytest.raises(ValueError):
-        ThresholdEstimate(delta_mad=1.0, lam=5.0, n=10)
 
 
 def test_hard_threshold_cases():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from despeckle.wavelet import FilterBank, Subbands, bank_by_name, daubechies_taps, dwt2, idwt2
+from despeckle.wavelet import Subbands, bank_by_name, dwt2, idwt2
 
 BANKS = ("haar", "db2", "db4")
 
@@ -17,18 +17,19 @@ def _coeff_energy(sub):
 
 
 def test_db1_is_haar():
-    bank = daubechies_taps(1)
+    bank = bank_by_name("haar")
     assert bank.name == "haar"
     assert_allclose(bank.lowpass, [1 / np.sqrt(2)] * 2, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_tap_invariants(order):
-    bank = daubechies_taps(order)
+    bank = bank_by_name({1: "haar", 2: "db2", 4: "db4"}[order])
     h = bank.lowpass
     g = bank.highpass
     taps = h.size
     assert taps == 2 * order
+    assert np.all(np.isfinite(h)) and np.all(np.isfinite(g))
     assert abs(h.sum() - np.sqrt(2)) <= 1e-10
     assert abs(h @ h - 1.0) <= 1e-10
     signs = (-1.0) ** np.arange(taps)
@@ -43,23 +44,24 @@ def test_tap_invariants(order):
 
 
 def test_db2_vanishing_moments():
-    g = daubechies_taps(2).highpass
+    g = bank_by_name("db2").highpass
     assert abs(g.sum()) <= 1e-10
     assert abs(np.dot(np.arange(g.size), g)) <= 1e-10
 
 
 def test_unsupported_order():
     with pytest.raises(ValueError):
-        daubechies_taps(3)
-    with pytest.raises(ValueError):
         bank_by_name("sym4")
 
 
-def test_from_lowpass_rejects_bad_taps():
-    with pytest.raises(ValueError):
-        FilterBank.from_lowpass("bad", [0.5, 0.5])  # sums to 1, not sqrt(2)
-    with pytest.raises(ValueError):
-        FilterBank.from_lowpass("odd", [1.0, 0.5, 0.1])
+@pytest.mark.parametrize("name", BANKS)
+def test_banks_are_shared_and_read_only(name):
+    bank = bank_by_name(name)
+    assert bank_by_name(name) is bank
+    assert bank.name == name
+    for taps in (bank.lowpass, bank.highpass):
+        with pytest.raises(ValueError):
+            taps[0] = 0.0
 
 
 # ---------------------------------------------------------------- one level
