@@ -22,7 +22,7 @@ import numpy as np
 
 from .fuzzy import output_surface, surface_to_csv
 from .image import PgmError, read_f64, read_pgm, write_pgm
-from .metrics import MetricsConfig, MetricsReport, full_report
+from .metrics import MetricsReport, full_report
 from .pipeline import (
     SEED_SUBBANDS,
     SHRINKERS,
@@ -42,10 +42,15 @@ __all__ = ["main"]
 def _read_image(path: str) -> np.ndarray:
     data = Path(path).read_bytes()
     if data[:2] == b"P5":
-        return read_pgm(data)
-    if data[:4] == b"F64\n":
-        return read_f64(data)
-    raise PgmError(f"{path}: unrecognized image magic {data[:4]!r}")
+        reader = read_pgm
+    elif data[:4] == b"F64\n":
+        reader = read_f64
+    else:
+        raise PgmError(f"{path}: unrecognized image magic {data[:4]!r}")
+    try:
+        return reader(data)
+    except PgmError as exc:
+        raise PgmError(f"{path}: {exc}") from exc
 
 
 def _write_image(path: str, img: np.ndarray) -> None:
@@ -121,7 +126,9 @@ def cmd_metrics(args) -> int:
         _read_image(args.clean),
         _read_image(args.noisy),
         _read_image(args.despeckled),
-        MetricsConfig(block=args.block, tau=args.tau, alpha=args.alpha),
+        block=args.block,
+        tau=args.tau,
+        alpha=args.alpha,
     )
     print(MetricsReport.CSV_HEADER)
     print(report.to_csv_row())

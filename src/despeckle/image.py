@@ -132,7 +132,7 @@ def write_pgm(img, maxval: int = 255) -> bytes:
         raise ValueError(f"maxval must be 255 or 65535, got {maxval}")
     arr = as_image(img)
     quantized = np.rint(np.clip(arr, 0.0, float(maxval)))
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
+    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{int(maxval)}\n".encode("ascii")
     dtype = "u1" if maxval == 255 else ">u2"
     return header + quantized.astype(dtype).tobytes()
 

@@ -24,9 +24,8 @@ magnitudes equal scipy's bit for bit. FOM distances come from the
 feature transform of the ideal map (the nearest ideal pixel of every
 pixel), evaluated as ``sqrt(dr^2 + dc^2)`` at the detected pixels only.
 
-:func:`full_report` validates each of its three images once and passes
-them to the same private bodies that the public metric functions call
-after their own validation.
+:func:`full_report` composes the public figures, and each figure checks
+its own inputs.
 """
 
 import math
@@ -39,7 +38,6 @@ from ._strips import _bounds
 from .image import as_image
 
 __all__ = [
-    "MetricsConfig",
     "MetricsReport",
     "nmv_nv_nsd",
     "msd",
@@ -50,28 +48,6 @@ __all__ = [
     "pratt_fom",
     "full_report",
 ]
-
-@dataclass(frozen=True)
-class MetricsConfig:
-    """Knobs for the composite report: ENL tile size, edge-detector
-    threshold fraction, and the FOM distance constant."""
-
-    block: int = 25
-    tau: float = 0.2
-    alpha: float = 1.0 / 9.0
-
-    def __post_init__(self):
-        if self.block < 2:
-            raise ValueError(f"block must be >= 2, got {self.block}")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        _check_alpha(self.alpha)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -103,10 +79,7 @@ class MetricsReport:
 
 def nmv_nv_nsd(img) -> tuple:
     """Population mean, variance, and standard deviation of an image."""
-    return _moments(as_image(img))
-
-
-def _moments(arr: np.ndarray) -> tuple:
+    arr = as_image(img)
     mean = float(arr.mean())
     var = float(arr.var())
     return mean, var, math.sqrt(var)
@@ -114,10 +87,8 @@ def _moments(arr: np.ndarray) -> tuple:
 
 def msd(reference, candidate) -> float:
     """Mean squared difference between two equally sized images."""
-    return _msd(as_image(reference), as_image(candidate))
-
-
-def _msd(a: np.ndarray, b: np.ndarray) -> float:
+    a = as_image(reference)
+    b = as_image(candidate)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = a - b
@@ -131,10 +102,7 @@ def enl_blocked(img, block: int = 25) -> float:
     excluded from the average. Raises if the image holds no full tile or
     if every tile is constant.
     """
-    return _enl_blocked(as_image(img), block)
-
-
-def _enl_blocked(arr: np.ndarray, block: int) -> float:
+    arr = as_image(img)
     if block < 2:
         raise ValueError(f"block must be >= 2, got {block}")
     n_r = arr.shape[0] // block
@@ -154,13 +122,10 @@ def _enl_blocked(arr: np.ndarray, block: int) -> float:
 def deflection_ratio(candidate, stats_source) -> float:
     """Mean of ``(candidate - NMV) / NSD`` with the statistics taken from
     ``stats_source`` (conventionally the unfiltered noisy image)."""
-    return _deflection_ratio(as_image(candidate), as_image(stats_source))
-
-
-def _deflection_ratio(cand: np.ndarray, src: np.ndarray) -> float:
-    if cand.shape != src.shape:
-        raise ValueError(f"shape mismatch: {cand.shape} vs {src.shape}")
-    mean, _, sd = _moments(src)
+    cand = as_image(candidate)
+    mean, _, sd = nmv_nv_nsd(stats_source)
+    if cand.shape != np.shape(stats_source):
+        raise ValueError(f"shape mismatch: {cand.shape} vs {np.shape(stats_source)}")
     if sd <= 0.0:
         raise ValueError("stats source has zero standard deviation")
     return float(((cand - mean) / sd).mean())
@@ -171,10 +136,7 @@ def detect_edges(img, tau: float = 0.2) -> np.ndarray:
     maximum, with edge-replicated borders."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    return _detect_edges(as_image(img), tau)
-
-
-def _detect_edges(arr: np.ndarray, tau: float) -> np.ndarray:
+    arr = as_image(img)
     magnitude = _sobel_magnitude(arr)
     peak = magnitude.max()
     if peak == 0.0:
@@ -233,7 +195,8 @@ def pratt_fom(detected: np.ndarray, ideal: np.ndarray, alpha: float = 1.0 / 9.0)
     ideal = np.asarray(ideal, dtype=bool)
     if detected.shape != ideal.shape:
         raise ValueError(f"shape mismatch: {detected.shape} vs {ideal.shape}")
-    _check_alpha(alpha)
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     n_detected = int(detected.sum())
     n_ideal = int(ideal.sum())
     if n_ideal == 0:
@@ -246,31 +209,27 @@ def pratt_fom(detected: np.ndarray, ideal: np.ndarray, alpha: float = 1.0 / 9.0)
     return float((1.0 / (1.0 + alpha * d * d)).sum() / max(n_detected, n_ideal))
 
 
-def full_report(clean, noisy, despeckled, cfg: MetricsConfig | None = None) -> MetricsReport:
+def full_report(
+    clean, noisy, despeckled, block: int = 25, tau: float = 0.2, alpha: float = 1.0 / 9.0
+) -> MetricsReport:
     """Composite report for a (clean, noisy, despeckled) triple.
 
-    NMV/NV/NSD and ENL are computed on the despeckled image, MSD pairs the
-    noisy input with the despeckled output, DR standardizes the despeckled
-    image by the noisy input's statistics, and FOM compares the despeckled
-    image's edges against the clean image's edges.
+    NMV/NV/NSD and ENL (``block``-sized tiles) are computed on the
+    despeckled image, MSD pairs the noisy input with the despeckled output,
+    DR standardizes the despeckled image by the noisy input's statistics,
+    and FOM (distance constant ``alpha``) compares the despeckled image's
+    edges against the clean image's edges, both detected at ``tau``.
     """
-    cfg = cfg or MetricsConfig()
-    clean = as_image(clean)
-    noisy = as_image(noisy)
-    despeckled = as_image(despeckled)
-    if not (clean.shape == noisy.shape == despeckled.shape):
-        raise ValueError(
-            f"shape mismatch: {clean.shape}, {noisy.shape}, {despeckled.shape}"
-        )
-    nmv, nv, nsd = _moments(despeckled)
+    shapes = np.shape(clean), np.shape(noisy), np.shape(despeckled)
+    if not shapes[0] == shapes[1] == shapes[2]:
+        raise ValueError("shape mismatch: {}, {}, {}".format(*shapes))
+    nmv, nv, nsd = nmv_nv_nsd(despeckled)
     return MetricsReport(
         nmv=nmv,
         nv=nv,
         nsd=nsd,
-        msd=_msd(noisy, despeckled),
-        enl=_enl_blocked(despeckled, cfg.block),
-        dr=_deflection_ratio(despeckled, noisy),
-        fom=pratt_fom(
-            _detect_edges(despeckled, cfg.tau), _detect_edges(clean, cfg.tau), cfg.alpha
-        ),
+        msd=msd(noisy, despeckled),
+        enl=enl_blocked(despeckled, block),
+        dr=deflection_ratio(despeckled, noisy),
+        fom=pratt_fom(detect_edges(despeckled, tau), detect_edges(clean, tau), alpha),
     )

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from despeckle.image import read_pgm, write_pgm
+from despeckle.image import PgmError, read_f64, read_pgm, write_f64, write_pgm
 
 from conftest import make_phantom
 
@@ -160,6 +160,36 @@ def test_metrics_image_smaller_than_one_enl_tile_fails(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: image (20, 20) smaller than one 25x25 block")
+
+
+def _f64_with_nan_last_sample(pgm_bytes):
+    return write_f64(read_pgm(pgm_bytes))[:-8] + np.float64(np.nan).tobytes()
+
+
+@pytest.mark.parametrize(
+    "corrupt, reader",
+    [(_f64_with_nan_last_sample, read_f64), (lambda data: data[:-10], read_pgm)],
+    ids=["f64-nan", "pgm-truncated"],
+)
+def test_metrics_read_error_names_the_file(clean_pgm, tmp_path, corrupt, reader):
+    data = corrupt(clean_pgm.read_bytes())
+    bad = tmp_path / "bad.img"
+    bad.write_bytes(data)
+    with pytest.raises(PgmError, match=r" at byte \d+") as exc:
+        reader(data)
+    proc = run_cli("metrics", clean_pgm, clean_pgm, bad)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {bad}: {exc.value}\n"
+
+
+def test_unrecognized_magic_names_the_file_once(tmp_path):
+    bad = tmp_path / "bad.img"
+    bad.write_bytes(b"XXXX\n")
+    proc = run_cli("despeckle", bad, tmp_path / "o.pgm", "--lambda", "1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {bad}: unrecognized image magic b'XXXX'\n"
 
 
 def test_surface_csv(tmp_path):

@@ -97,6 +97,16 @@ def test_pgm_round_trip_bit_exact(maxval):
     assert write_pgm(read_pgm(data), maxval) == data
 
 
+@pytest.mark.parametrize(
+    "maxval", [255.0, 65535.0, np.float64(255)], ids=["255.0", "65535.0", "np.float64(255)"]
+)
+def test_write_pgm_float_maxval_writes_integer_header(maxval):
+    img = np.array([[0.0, 17.0], [200.0, 255.0]])
+    data = write_pgm(img, maxval)
+    assert data == write_pgm(img, int(maxval))
+    assert_array_equal(read_pgm(data), img)
+
+
 def test_f64_round_trip_lossless():
     rng = np.random.default_rng(11)
     img = rng.standard_normal((5, 7)) * 1e6

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import ndimage
 
+from despeckle import metrics
 from despeckle.metrics import (
-    MetricsConfig,
     MetricsReport,
     deflection_ratio,
     detect_edges,
@@ -286,26 +286,90 @@ def test_full_report_table_order():
     assert len(header.split()) == len(row.split()) == 7
 
 
-def test_full_report_shape_mismatch():
-    with pytest.raises(ValueError):
+_FIGURES = ("nmv_nv_nsd", "msd", "enl_blocked", "deflection_ratio", "detect_edges", "pratt_fom")
+
+
+def _spy_on_figures(monkeypatch):
+    """Wrap the module's public figure functions; returns the list of the
+    names called, in call order."""
+    calls = []
+    for name in _FIGURES:
+
+        def spy(*args, _name=name, _fn=getattr(metrics, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, name, spy)
+    return calls
+
+
+def _triple(shape, seed):
+    clean = make_phantom(max(shape))[: shape[0], : shape[1]]
+    noisy = apply_speckle(clean, SpeckleSpec(kind="gamma", looks=3, seed=seed))
+    return clean, noisy, despeckle(noisy, 2.0)
+
+
+def test_full_report_composes_public_figures(monkeypatch):
+    calls = _spy_on_figures(monkeypatch)
+    full_report(*_triple((64, 64), 5))
+    # ENL's block check runs before the edge detector's tau check, which runs
+    # before the FOM's alpha check; deflection_ratio reads its statistics
+    # through nmv_nv_nsd.
+    assert calls == [
+        "nmv_nv_nsd",
+        "msd",
+        "enl_blocked",
+        "deflection_ratio",
+        "nmv_nv_nsd",
+        "detect_edges",
+        "detect_edges",
+        "pratt_fom",
+    ]
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (97, 131)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_full_report_equals_composition(shape):
+    clean, noisy, out = _triple(shape, 11)
+    nmv, nv, nsd = nmv_nv_nsd(out)
+    assert full_report(clean, noisy, out, block=16, tau=0.3, alpha=0.5) == MetricsReport(
+        nmv=nmv,
+        nv=nv,
+        nsd=nsd,
+        msd=msd(noisy, out),
+        enl=enl_blocked(out, 16),
+        dr=deflection_ratio(out, noisy),
+        fom=pratt_fom(detect_edges(out, 0.3), detect_edges(clean, 0.3), alpha=0.5),
+    )
+
+
+def test_full_report_shape_mismatch(monkeypatch):
+    calls = _spy_on_figures(monkeypatch)
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(4, 4\), \(4, 4\), \(4, 5\)$"):
         full_report(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 5)))
+    assert calls == []
 
 
-def test_metrics_config_validation():
-    with pytest.raises(ValueError):
-        MetricsConfig(block=1)
-    with pytest.raises(ValueError):
-        MetricsConfig(tau=1.5)
-    with pytest.raises(ValueError):
-        MetricsConfig(alpha=0.0)
+def _textured():
+    return np.random.default_rng(31).uniform(1.0, 255.0, size=(50, 50))
+
+
+def test_full_report_parameter_validation():
+    img = _textured()
+    with pytest.raises(ValueError, match="block must be >= 2, got 1"):
+        full_report(img, img, img, block=1)
+    with pytest.raises(ValueError, match=r"tau must lie in \(0, 1\), got 1.5"):
+        full_report(img, img, img, tau=1.5)
+    with pytest.raises(ValueError, match="alpha must be positive and finite, got 0.0"):
+        full_report(img, img, img, alpha=0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
 def test_alpha_must_be_positive_and_finite(alpha):
     edges = np.zeros((8, 8), dtype=bool)
     edges[2, 2] = True
+    img = _textured()
     with pytest.raises(ValueError, match="alpha must be positive and finite"):
-        MetricsConfig(alpha=alpha)
+        full_report(img, img, img, alpha=alpha)
     with pytest.raises(ValueError, match="alpha must be positive and finite"):
         pratt_fom(edges, edges, alpha=alpha)
 
