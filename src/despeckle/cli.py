@@ -24,7 +24,6 @@ from .fuzzy import output_surface, surface_to_csv
 from .image import PgmError, read_f64, read_pgm, write_pgm
 from .metrics import MetricsReport, full_report
 from .pipeline import (
-    SEED_SUBBANDS,
     SHRINKERS,
     PipelineConfig,
     calibrate,
@@ -67,9 +66,7 @@ def _speckle_spec(args) -> SpeckleSpec:
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(
-        wavelet=args.wavelet, shrink=args.shrink, bias=args.bias, seed_subband=args.subband
-    )
+    return PipelineConfig(wavelet=args.wavelet, shrink=args.shrink)
 
 
 def cmd_speckle(args) -> int:
@@ -113,7 +110,7 @@ def cmd_baseline(args) -> int:
         raise ValueError(f"looks must be a positive integer, got {args.looks}")
     img = _read_image(args.input)
     if args.filter == "median":
-        out = median_filter_homomorphic(img, kernel=args.kernel, bias=args.bias)
+        out = median_filter_homomorphic(img, kernel=args.kernel)
     else:
         out = lee_filter(img, kernel=args.kernel, noise_var_ratio=1.0 / args.looks)
     _write_image(args.output, out)
@@ -152,13 +149,6 @@ def _add_speckle_flags(parser: argparse.ArgumentParser) -> None:
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--wavelet", choices=SUPPORTED_BANKS, default="haar", help="filter bank")
     parser.add_argument("--shrink", choices=tuple(SHRINKERS), default="hard", help="shrinker")
-    parser.add_argument("--bias", type=float, default=1.0, help="offset added before the log")
-    parser.add_argument(
-        "--subband",
-        choices=SEED_SUBBANDS,
-        default="cdd",
-        help="detail block feeding the initial noise estimate",
-    )
 
 
 @functools.cache
@@ -201,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", choices=("median", "lee"), default="median")
     p.add_argument("--kernel", type=int, default=3, help="odd window size")
     p.add_argument("--looks", type=int, default=3, help="look count (Lee noise variance = 1/looks)")
-    p.add_argument("--bias", type=float, default=1.0, help="log-domain offset (median only)")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("metrics", help="assessment report for a clean/noisy/despeckled triple")

@@ -13,8 +13,8 @@ Two on-disk formats:
   such as log-domain images.
 
 The homomorphic primitives convert between the pixel domain and the log
-domain: a positive bias is added before the logarithm so zero-valued
-pixels stay finite, and subtracted again after exponentiation.
+domain: 1 is added before the logarithm so zero-valued pixels stay
+finite, and subtracted again after exponentiation.
 """
 
 import numpy as np
@@ -46,13 +46,6 @@ def as_image(a) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("image contains non-finite pixel values")
     return arr
-
-
-def _check_bias(bias: float) -> float:
-    bias = float(bias)
-    if not np.isfinite(bias) or bias <= 0.0:
-        raise ValueError(f"bias must be a positive finite real, got {bias}")
-    return bias
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -181,21 +174,19 @@ def write_f64(img) -> bytes:
     return header + arr.astype("<f8").tobytes()
 
 
-def log_domain(img, bias: float = 1.0) -> np.ndarray:
-    """Elementwise ``ln(pixel + bias)``; requires non-negative pixels."""
+def log_domain(img) -> np.ndarray:
+    """Elementwise ``ln(pixel + 1)``; requires non-negative pixels."""
     arr = as_image(img)
-    bias = _check_bias(bias)
     if np.any(arr < 0.0):
         raise ValueError("log_domain requires non-negative pixels")
-    return np.log(arr + bias)
+    return np.log(arr + 1.0)
 
 
-def exp_domain(img, bias: float = 1.0) -> np.ndarray:
-    """Elementwise ``exp(pixel) - bias``, the inverse of :func:`log_domain`."""
+def exp_domain(img) -> np.ndarray:
+    """Elementwise ``exp(pixel) - 1``, the inverse of :func:`log_domain`."""
     arr = as_image(img)
-    bias = _check_bias(bias)
     with np.errstate(over="ignore"):
-        out = np.exp(arr) - bias
+        out = np.exp(arr) - 1.0
     if not np.all(np.isfinite(out)):
         raise OverflowError("exp_domain overflowed to non-finite values")
     return out

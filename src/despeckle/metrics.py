@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ._strips import _bounds
 from .image import as_image
@@ -173,6 +172,8 @@ def nearest_edge_distances(detected: np.ndarray, ideal: np.ndarray) -> np.ndarra
         raise ValueError(f"shape mismatch: {detected.shape} vs {ideal.shape}")
     if not ideal.any():
         raise ValueError("ideal edge map is empty")
+    from scipy import ndimage  # deferred, see pipeline.median_filter_homomorphic
+
     nearest = ndimage.distance_transform_edt(
         ~ideal, return_distances=False, return_indices=True
     )

@@ -1,19 +1,19 @@
 """End-to-end despeckling chains and threshold calibration.
 
-The shrinkage path is homomorphic: add a positive bias, take the natural
-logarithm (turning multiplicative speckle into additive noise), run a
-single-level 2-D wavelet analysis, shrink the three detail subbands at a
-threshold (the approximation is untouched), reconstruct, exponentiate,
-and remove the bias. :func:`despeckle` runs it once at a given threshold.
+The shrinkage path is homomorphic: add 1, take the natural logarithm
+(turning multiplicative speckle into additive noise), run a single-level
+2-D wavelet analysis, shrink the three detail subbands at a threshold
+(the approximation is untouched), reconstruct, exponentiate, and
+subtract 1. :func:`despeckle` runs it once at a given threshold.
 
 Calibration closes a feedback loop around that chain: synthetic speckle
 with a chosen distribution is applied to a clean reference, the threshold
-is seeded from the universal threshold of the detail coefficients, and a
-fuzzy PI controller nudges it from the signed worst-pixel error of each
-despeckling attempt. The loop keeps the threshold with the smallest
-observed error magnitude, so a wandering trajectory can never return a
-threshold worse than the seed. The calibrated threshold is then applied
-open-loop to new images.
+is seeded from the universal threshold of the diagonal detail
+coefficients, and a fuzzy PI controller nudges it from the signed
+worst-pixel error of each despeckling attempt. The loop keeps the
+threshold with the smallest observed error magnitude, so a wandering
+trajectory can never return a threshold worse than the seed. The
+calibrated threshold is then applied open-loop to new images.
 
 Two baseline filters are included for comparison: a homomorphic windowed
 median, and the Lee local-statistics filter operating directly in the
@@ -22,10 +22,10 @@ multiplicative model).
 """
 
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .fuzzy import ControllerConfig, ScalarError, control_step, scalarize
 from .image import as_image, exp_domain, log_domain, subtract
@@ -41,7 +41,6 @@ from .wavelet import FilterBank, Subbands, bank_by_name, dwt2, idwt2
 
 __all__ = [
     "SHRINKERS",
-    "SEED_SUBBANDS",
     "PipelineConfig",
     "TraceStep",
     "CalibrationResult",
@@ -54,31 +53,18 @@ __all__ = [
 ]
 
 SHRINKERS = {"hard": hard_threshold, "soft": soft_threshold}
-SEED_SUBBANDS = ("chd", "cvd", "cdd", "pooled")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Shrinkage-chain configuration.
-
-    ``seed_subband`` selects which detail block feeds the initial noise
-    estimate ("pooled" concatenates all three).
-    """
+    """Shrinkage-chain configuration: filter bank and shrinkage rule."""
 
     wavelet: str = "haar"
     shrink: str = "hard"
-    bias: float = 1.0
-    seed_subband: str = "cdd"
 
     def __post_init__(self):
         if self.shrink not in SHRINKERS:
             raise ValueError(f"shrink must be one of {tuple(SHRINKERS)}, got {self.shrink!r}")
-        if self.seed_subband not in SEED_SUBBANDS:
-            raise ValueError(
-                f"seed_subband must be one of {SEED_SUBBANDS}, got {self.seed_subband!r}"
-            )
-        if self.bias <= 0 or not np.isfinite(self.bias):
-            raise ValueError(f"bias must be positive and finite, got {self.bias}")
         bank_by_name(self.wavelet)  # reject unknown names eagerly
 
     def bank(self) -> FilterBank:
@@ -125,7 +111,7 @@ def trace_to_csv(trace) -> str:
 
 def _analyse(arr: np.ndarray, cfg: PipelineConfig) -> Subbands:
     """Log-domain wavelet coefficients of a validated image."""
-    return dwt2(log_domain(arr, cfg.bias), cfg.bank())
+    return dwt2(log_domain(arr), cfg.bank())
 
 
 def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig) -> np.ndarray:
@@ -134,27 +120,24 @@ def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig) -> np.ndarray:
     thresholded = replace(
         sub, chd=shrink(sub.chd, lam), cvd=shrink(sub.cvd, lam), cdd=shrink(sub.cdd, lam)
     )
-    out = exp_domain(idwt2(thresholded, cfg.bank()), cfg.bias)
+    out = exp_domain(idwt2(thresholded, cfg.bank()))
     return np.maximum(out, 0.0)
 
 
-def _seed_threshold(sub: Subbands, cfg: PipelineConfig) -> ThresholdEstimate:
-    if cfg.seed_subband == "pooled":
-        coeffs = np.concatenate([sub.chd.ravel(), sub.cvd.ravel(), sub.cdd.ravel()])
-    else:
-        coeffs = getattr(sub, cfg.seed_subband).ravel()
+def _seed_threshold(sub: Subbands) -> ThresholdEstimate:
+    coeffs = sub.cdd.ravel()
     if coeffs.size < 2:
         raise ValueError(
             f"image {sub.shape} is too small to seed the threshold: the "
-            f"{cfg.seed_subband!r} subband holds {coeffs.size} coefficient(s), need at least 2"
+            f"'cdd' subband holds {coeffs.size} coefficient(s), need at least 2"
         )
     return universal_threshold(mad_sigma(coeffs), coeffs.size)
 
 
 def initial_threshold(img, cfg: PipelineConfig | None = None) -> ThresholdEstimate:
-    """Universal-threshold seed from the log-domain detail coefficients."""
+    """Universal-threshold seed from the log-domain diagonal detail coefficients."""
     cfg = cfg or PipelineConfig()
-    return _seed_threshold(_analyse(as_image(img), cfg), cfg)
+    return _seed_threshold(_analyse(as_image(img), cfg))
 
 
 def _default_controller(peak: float, lam0: float) -> ControllerConfig:
@@ -206,7 +189,7 @@ def calibrate(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
     sub = _analyse(apply_speckle(clean, spec), cfg)
-    lam0 = _seed_threshold(sub, cfg).lam
+    lam0 = _seed_threshold(sub).lam
     ctl = _default_controller(peak, lam0)
 
     # Loop state: current threshold, previous error, best threshold so far.
@@ -243,7 +226,7 @@ def despeckle(noisy, lambda_star: float, cfg: PipelineConfig | None = None) -> n
     """One pass of the homomorphic shrinkage chain at threshold
     ``lambda_star``: apply a calibrated threshold open-loop to a new image."""
     cfg = cfg or PipelineConfig()
-    if not lambda_star >= 0:
+    if not 0 <= lambda_star < math.inf:
         raise ValueError(f"threshold must be a non-negative number, got {lambda_star}")
     return _synthesise(_analyse(as_image(noisy), cfg), lambda_star, cfg)
 
@@ -256,12 +239,17 @@ def _check_kernel(kernel: int, shape) -> int:
     return kernel
 
 
-def median_filter_homomorphic(noisy, kernel: int = 3, bias: float = 1.0) -> np.ndarray:
+def median_filter_homomorphic(noisy, kernel: int = 3) -> np.ndarray:
     """Windowed median in the log domain with edge-replicated borders."""
+    # scipy.ndimage is imported where it is used (here, in lee_filter and in
+    # metrics.nearest_edge_distances): loading it roughly triples the time
+    # `import despeckle` takes, and most commands never call these functions.
+    from scipy import ndimage
+
     arr = as_image(noisy)
     _check_kernel(kernel, arr.shape)
-    filtered = ndimage.median_filter(log_domain(arr, bias), size=kernel, mode="nearest")
-    return exp_domain(filtered, bias)
+    filtered = ndimage.median_filter(log_domain(arr), size=kernel, mode="nearest")
+    return exp_domain(filtered)
 
 
 def lee_filter(noisy, kernel: int = 5, noise_var_ratio: float = 1.0 / 3.0) -> np.ndarray:
@@ -272,6 +260,8 @@ def lee_filter(noisy, kernel: int = 5, noise_var_ratio: float = 1.0 / 3.0) -> np
     ``gain = max(v - m^2 * ratio, 0) / v`` (0 where ``v`` is 0) and
     ``out = m + gain * (x - m)``.
     """
+    from scipy import ndimage
+
     arr = as_image(noisy)
     _check_kernel(kernel, arr.shape)
     if noise_var_ratio < 0 or not np.isfinite(noise_var_ratio):

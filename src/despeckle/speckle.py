@@ -10,6 +10,7 @@ substream per image row, so a field is a pure function of
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,17 @@ class SpeckleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown speckle kind {self.kind!r}; supported: {KINDS}")
-        if not isinstance(self.looks, int) or self.looks < 1:
+        if not _is_integer(self.looks) or self.looks < 1:
             raise ValueError(f"looks must be a positive integer, got {self.looks!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        # numpy integers are stored as Python ints, so reprs and JSON stay plain
+        object.__setattr__(self, "looks", int(self.looks))
+        object.__setattr__(self, "seed", int(self.seed))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def generate_speckle(rows: int, cols: int, spec: SpeckleSpec) -> np.ndarray:

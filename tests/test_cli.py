@@ -106,6 +106,29 @@ def test_despeckle_nan_lambda_fails(clean_pgm, tmp_path, shrink):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", ["inf", "1e400"])
+def test_despeckle_infinite_lambda_fails(clean_pgm, tmp_path, lam):
+    out = tmp_path / "out.pgm"
+    proc = run_cli("despeckle", clean_pgm, out, "--lambda", lam)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: threshold must be a non-negative number, got inf")
+    assert not out.exists()
+
+
+def test_despeckle_command_does_not_import_scipy_ndimage(clean_pgm, tmp_path):
+    # scipy.ndimage is loaded only by the baselines and the metrics that use it
+    code = (
+        "import sys, despeckle, despeckle.cli\n"
+        f"assert despeckle.cli.main(['despeckle', {str(clean_pgm)!r}, "
+        f"{str(tmp_path / 'out.pgm')!r}, '--lambda', '1']) == 0\n"
+        "print('scipy.ndimage' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_baseline_median_and_lee(clean_pgm, tmp_path):
     for name in ("median", "lee"):
         out = tmp_path / f"{name}.pgm"

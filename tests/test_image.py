@@ -136,8 +136,8 @@ def test_f64_rejects_nonfinite_sample_names_offset(index, value):
 
 
 def test_log_domain_values():
-    assert log_domain(np.array([[0.0]]), 1.0)[0, 0] == 0.0
-    assert log_domain(np.array([[math.e - 1.0]]), 1.0)[0, 0] == pytest.approx(1.0, rel=1e-15)
+    assert log_domain(np.array([[0.0]]))[0, 0] == 0.0
+    assert log_domain(np.array([[math.e - 1.0]]))[0, 0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_log_domain_rejects_negative():
@@ -146,8 +146,8 @@ def test_log_domain_rejects_negative():
 
 
 def test_exp_domain_values():
-    assert exp_domain(np.array([[0.0]]), 1.0)[0, 0] == 0.0
-    assert exp_domain(np.array([[1.0]]), 1.0)[0, 0] == pytest.approx(math.e - 1.0, rel=1e-15)
+    assert exp_domain(np.array([[0.0]]))[0, 0] == 0.0
+    assert exp_domain(np.array([[1.0]]))[0, 0] == pytest.approx(math.e - 1.0, rel=1e-15)
 
 
 def test_exp_domain_overflow():
@@ -158,11 +158,11 @@ def test_exp_domain_overflow():
 def test_log_exp_mutual_inverses():
     rng = np.random.default_rng(3)
     img = rng.uniform(0.0, 65535.0, size=(16, 16))
-    back = exp_domain(log_domain(img, 1.0), 1.0)
+    back = exp_domain(log_domain(img))
     assert_allclose(back, img, rtol=1e-12)
     # exp output must stay in log_domain's domain (pixels >= 0)
     logged = rng.uniform(0.0, 11.0, size=(16, 16))
-    assert_allclose(log_domain(exp_domain(logged, 1.0), 1.0), logged, rtol=0, atol=1e-12)
+    assert_allclose(log_domain(exp_domain(logged)), logged, rtol=0, atol=1e-12)
 
 
 def test_subtract():

@@ -90,3 +90,21 @@ def test_spec_validation():
         SpeckleSpec(seed=-1)
     with pytest.raises(ValueError):
         generate_speckle(0, 4, SpeckleSpec())
+
+
+def test_spec_accepts_numpy_integers_and_rejects_bool():
+    spec = SpeckleSpec(kind="gamma", looks=np.int64(3), seed=np.int64(5))
+    assert spec == SpeckleSpec(kind="gamma", looks=3, seed=5)
+    assert type(spec.looks) is int and type(spec.seed) is int
+    assert repr(spec) == repr(SpeckleSpec(kind="gamma", looks=3, seed=5))
+    assert_array_equal(
+        generate_speckle(8, 9, spec), generate_speckle(8, 9, SpeckleSpec(looks=3, seed=5))
+    )
+    assert_array_equal(
+        generate_speckle(8, 9, SpeckleSpec(seed=np.uint64(7))),
+        generate_speckle(8, 9, SpeckleSpec(seed=7)),
+    )
+    with pytest.raises(ValueError, match="looks must be a positive integer, got True"):
+        SpeckleSpec(looks=True)
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer, got True"):
+        SpeckleSpec(seed=True)
