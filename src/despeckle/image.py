@@ -179,14 +179,16 @@ def log_domain(img) -> np.ndarray:
     arr = as_image(img)
     if np.any(arr < 0.0):
         raise ValueError("log_domain requires non-negative pixels")
-    return np.log(arr + 1.0)
+    out = arr + 1.0
+    return np.log(out, out=out)
 
 
 def exp_domain(img) -> np.ndarray:
     """Elementwise ``exp(pixel) - 1``, the inverse of :func:`log_domain`."""
     arr = as_image(img)
     with np.errstate(over="ignore"):
-        out = np.exp(arr) - 1.0
+        out = np.exp(arr)
+    out -= 1.0
     if not np.all(np.isfinite(out)):
         raise OverflowError("exp_domain overflowed to non-finite values")
     return out

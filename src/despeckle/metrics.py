@@ -91,7 +91,8 @@ def msd(reference, candidate) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = a - b
-    return float((diff * diff).mean())
+    diff *= diff
+    return float(diff.mean())
 
 
 def enl_blocked(img, block: int = 25) -> float:
@@ -127,7 +128,9 @@ def deflection_ratio(candidate, stats_source) -> float:
         raise ValueError(f"shape mismatch: {cand.shape} vs {np.shape(stats_source)}")
     if sd <= 0.0:
         raise ValueError("stats source has zero standard deviation")
-    return float(((cand - mean) / sd).mean())
+    z = cand - mean
+    z /= sd
+    return float(z.mean())
 
 
 def detect_edges(img, tau: float = 0.2) -> np.ndarray:

@@ -37,7 +37,7 @@ from .thresholding import (
     soft_threshold,
     universal_threshold,
 )
-from .wavelet import FilterBank, Subbands, bank_by_name, dwt2, idwt2
+from .wavelet import FilterBank, Subbands, _diagonal_detail, bank_by_name, dwt2, idwt2
 
 __all__ = [
     "SHRINKERS",
@@ -121,23 +121,31 @@ def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig) -> np.ndarray:
         sub, chd=shrink(sub.chd, lam), cvd=shrink(sub.cvd, lam), cdd=shrink(sub.cdd, lam)
     )
     out = exp_domain(idwt2(thresholded, cfg.bank()))
-    return np.maximum(out, 0.0)
+    return np.maximum(out, 0.0, out=out)
 
 
-def _seed_threshold(sub: Subbands) -> ThresholdEstimate:
-    coeffs = sub.cdd.ravel()
+def _seed_threshold(cdd: np.ndarray, shape: tuple) -> ThresholdEstimate:
+    """Universal threshold of the diagonal detail block ``cdd`` of an image of ``shape``."""
+    coeffs = cdd.ravel()
     if coeffs.size < 2:
         raise ValueError(
-            f"image {sub.shape} is too small to seed the threshold: the "
+            f"image {shape} is too small to seed the threshold: the "
             f"'cdd' subband holds {coeffs.size} coefficient(s), need at least 2"
         )
     return universal_threshold(mad_sigma(coeffs), coeffs.size)
 
 
 def initial_threshold(img, cfg: PipelineConfig | None = None) -> ThresholdEstimate:
-    """Universal-threshold seed from the log-domain diagonal detail coefficients."""
+    """Universal-threshold seed from the log-domain diagonal detail coefficients.
+
+    Only that block is computed: the highpass row pass of the log image,
+    then the highpass column pass of its output. The coefficients equal
+    ``dwt2(log_domain(img), cfg.bank()).cdd`` bit for bit, at about half
+    the cost of the full analysis.
+    """
     cfg = cfg or PipelineConfig()
-    return _seed_threshold(_analyse(as_image(img), cfg))
+    arr = as_image(img)
+    return _seed_threshold(_diagonal_detail(log_domain(arr), cfg.bank()), arr.shape)
 
 
 def _default_controller(peak: float, lam0: float) -> ControllerConfig:
@@ -189,7 +197,7 @@ def calibrate(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
     sub = _analyse(apply_speckle(clean, spec), cfg)
-    lam0 = _seed_threshold(sub).lam
+    lam0 = _seed_threshold(sub.cdd, sub.shape).lam
     ctl = _default_controller(peak, lam0)
 
     # Loop state: current threshold, previous error, best threshold so far.

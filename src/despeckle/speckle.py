@@ -73,4 +73,5 @@ def apply_speckle(img, spec: SpeckleSpec) -> np.ndarray:
     arr = as_image(img)
     if np.any(arr < 0.0):
         raise ValueError("apply_speckle requires non-negative pixels")
-    return arr * generate_speckle(arr.shape[0], arr.shape[1], spec)
+    field = generate_speckle(arr.shape[0], arr.shape[1], spec)
+    return np.multiply(arr, field, out=field)

@@ -43,7 +43,7 @@ def mad_sigma(coeffs) -> float:
         raise ValueError("mad_sigma requires a non-empty coefficient sequence")
     if not np.all(np.isfinite(a)):
         raise ValueError("mad_sigma requires finite coefficients")
-    return float(np.median(a)) / MAD_SCALE
+    return float(np.median(a, overwrite_input=True)) / MAD_SCALE  # ``a`` is our own copy
 
 
 def universal_threshold(delta_mad: float, n: int) -> ThresholdEstimate:
@@ -70,4 +70,7 @@ def soft_threshold(sub, lam: float) -> np.ndarray:
     if not lam >= 0:
         raise ValueError(f"threshold must be a non-negative number, got {lam}")
     x = np.asarray(sub, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    out = np.abs(x)
+    out -= lam
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(np.sign(x), out, out=out)

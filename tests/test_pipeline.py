@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import despeckle.pipeline as pipeline_mod
+import despeckle.wavelet as wavelet_mod
 from despeckle.fuzzy import ScalarError, control_step, scalarize
-from despeckle.image import log_domain, subtract
-from despeckle.metrics import nmv_nv_nsd
+from despeckle.image import exp_domain, log_domain, subtract
+from despeckle.metrics import deflection_ratio, full_report, msd, nmv_nv_nsd
 from despeckle.pipeline import (
     CalibrationResult,
     PipelineConfig,
@@ -18,7 +19,7 @@ from despeckle.pipeline import (
     trace_to_csv,
 )
 from despeckle.speckle import SpeckleSpec, apply_speckle
-from despeckle.thresholding import hard_threshold, mad_sigma
+from despeckle.thresholding import hard_threshold, mad_sigma, soft_threshold, universal_threshold
 from despeckle.wavelet import bank_by_name, dwt2
 
 
@@ -142,6 +143,25 @@ def test_initial_threshold_rejects_too_small_image():
         initial_threshold(np.full((2, 2), 10.0))
     with pytest.raises(ValueError, match=r"image \(2, 2\)"):
         calibrate(np.full((2, 2), 10.0), SpeckleSpec(kind="gamma", looks=3, seed=1))
+
+
+def test_initial_threshold_runs_no_full_analysis(monkeypatch):
+    # The seed reads only the diagonal block, so no dwt2 runs; the estimate
+    # equals the one taken from the full analysis.
+    img = apply_speckle(_small_phantom(), SpeckleSpec(kind="rayleigh", seed=3))
+    cfg = PipelineConfig(wavelet="db4")
+    sub = dwt2(log_domain(img), cfg.bank())
+    expected = universal_threshold(mad_sigma(sub.cdd), sub.cdd.size)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dwt2(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "dwt2", counted)
+    monkeypatch.setattr(wavelet_mod, "dwt2", counted)
+    assert initial_threshold(img, cfg) == expected
+    assert calls == []
 
 
 # ---------------------------------------------------------------- calibration
@@ -438,3 +458,57 @@ def test_pipeline_config_validation():
         PipelineConfig(shrink="firm")
     with pytest.raises(ValueError):
         PipelineConfig(wavelet="db15")
+
+
+# ---------------------------------------------------------------- caller memory
+
+
+CALLER_INPUT_CASES = [
+    "log_domain",
+    "exp_domain",
+    "apply_speckle",
+    "initial_threshold",
+    "calibrate",
+    "despeckle",
+    "msd",
+    "deflection_ratio",
+    "full_report",
+    "mad_sigma",
+    "hard_threshold",
+    "soft_threshold",
+]
+
+
+@pytest.mark.parametrize("name", CALLER_INPUT_CASES)
+def test_results_never_reuse_caller_memory(name):
+    # Fresh intermediates are reused in place; arrays the caller passed in
+    # are not. Read-only inputs make any write into them raise.
+    spec = SpeckleSpec(kind="rayleigh", seed=5)
+    cfg = PipelineConfig(wavelet="db4", shrink="soft")
+    clean = _small_phantom()
+    noisy = apply_speckle(clean, spec)
+    out = despeckle(noisy, 1.0, cfg)
+    band = dwt2(log_domain(noisy), cfg.bank()).cdd
+    fn, *args = {
+        "log_domain": (log_domain, noisy),
+        "exp_domain": (exp_domain, log_domain(noisy)),
+        "apply_speckle": (apply_speckle, clean, spec),
+        "initial_threshold": (initial_threshold, noisy, cfg),
+        "calibrate": (calibrate, clean, spec, cfg, None, 3),
+        "despeckle": (despeckle, noisy, 1.0, cfg),
+        "msd": (msd, noisy, out),
+        "deflection_ratio": (deflection_ratio, out, noisy),
+        "full_report": (full_report, clean, noisy, out),
+        "mad_sigma": (mad_sigma, band),
+        "hard_threshold": (hard_threshold, band, 0.5),
+        "soft_threshold": (soft_threshold, band, 0.5),
+    }[name]
+    inputs = [a for a in args if isinstance(a, np.ndarray)]
+    before = [a.copy() for a in inputs]
+    for a in inputs:
+        a.flags.writeable = False
+    result = fn(*args)
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
+    if isinstance(result, np.ndarray):
+        assert not any(np.shares_memory(result, a) for a in inputs)

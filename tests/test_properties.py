@@ -15,7 +15,7 @@ from despeckle.image import PgmError, log_domain, read_f64, read_pgm, write_f64,
 from despeckle.metrics import _sobel_magnitude, detect_edges  # noqa: E402
 from despeckle.speckle import KINDS, SpeckleSpec, generate_speckle  # noqa: E402
 from despeckle.thresholding import hard_threshold, soft_threshold  # noqa: E402
-from despeckle.wavelet import bank_by_name, dwt2, idwt2  # noqa: E402
+from despeckle.wavelet import _diagonal_detail, bank_by_name, dwt2, idwt2  # noqa: E402
 
 # Small shapes, and shapes of 2.2-4.3 MiB whose row passes cut into 2-4 strips.
 shapes = st.one_of(
@@ -51,6 +51,13 @@ def test_dwt_perfect_reconstruction_and_parseval(img, name):
     padded = np.pad(img, ((0, rows % 2), (0, cols % 2)), mode="edge")
     energy = sum(float(np.sum(b * b)) for b in (sub.ca, sub.chd, sub.cvd, sub.cdd))
     assert energy == pytest.approx(float(np.sum(padded * padded)), rel=1e-10, abs=1e-10)
+
+
+@settings(deadline=2000)
+@given(img=images, name=st.sampled_from(["haar", "db2", "db4"]))
+def test_diagonal_detail_equals_dwt2_cdd(img, name):
+    bank = bank_by_name(name)
+    assert_array_equal(_diagonal_detail(img, bank), dwt2(img, bank).cdd)
 
 
 @settings(deadline=2000)

@@ -11,7 +11,7 @@ from despeckle.image import write_pgm
 from despeckle.metrics import detect_edges, full_report
 from despeckle.pipeline import calibrate
 from despeckle.speckle import SpeckleSpec, apply_speckle
-from despeckle.wavelet import bank_by_name, dwt2, idwt2
+from despeckle.wavelet import _diagonal_detail, bank_by_name, dwt2, idwt2
 
 
 @pytest.mark.parametrize(
@@ -46,17 +46,36 @@ def test_no_thread_starts_at_any_size(phantom, tmp_path):
     assert threading.active_count() == before
 
 
+# (shape, bank): the row passes of 600x1100 and 1031x515 cut into several
+# strips and their column passes into several row blocks; at 16 KiB strips
+# the 1031x515 db4 blocks are 2 output rows, so each block's 6-row periodic
+# halo reaches past it, and on 2x2, 4x6 and 9x1 the halo wraps past the
+# whole axis.
+STRIP_CASES = [
+    ((600, 1100), "db2"),
+    ((1031, 515), "db4"),
+    ((2, 2), "db4"),
+    ((4, 6), "db4"),
+    ((9, 1), "db4"),
+]
+
+
 @pytest.mark.parametrize("strip_bytes", [1 << 14, 1 << 40])
 def test_results_do_not_depend_on_strip_size(monkeypatch, strip_bytes):
     rng = np.random.default_rng(32)
-    img = rng.uniform(0.0, 255.0, size=(600, 1100))
-    bank = bank_by_name("db2")
+    images = [
+        (rng.uniform(0.0, 255.0, size=shape), bank_by_name(name)) for shape, name in STRIP_CASES
+    ]
 
     def run():
-        sub = dwt2(img, bank)
-        return (sub.ca, sub.chd, sub.cvd, sub.cdd, idwt2(sub, bank), detect_edges(img))
+        results = []
+        for img, bank in images:
+            sub = dwt2(img, bank)
+            results += [sub.ca, sub.chd, sub.cvd, sub.cdd, idwt2(sub, bank)]
+            results += [_diagonal_detail(img, bank), detect_edges(img)]
+        return results
 
     default = run()
     monkeypatch.setattr(_strips, "_STRIP_BYTES", strip_bytes)
-    for got, want in zip(run(), default):
+    for got, want in zip(run(), default, strict=True):
         assert_array_equal(got, want)

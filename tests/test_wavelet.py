@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from despeckle.wavelet import Subbands, bank_by_name, dwt2, idwt2
+from despeckle.wavelet import Subbands, _diagonal_detail, bank_by_name, dwt2, idwt2
 
 BANKS = ("haar", "db2", "db4")
 
@@ -266,3 +266,16 @@ def test_transform_matches_gather_scatter_oracle(shape, name):
         for block, expected in zip(blocks, _oracle_dwt2(img, bank)):
             assert_allclose(block, expected, rtol=0, atol=1e-12)
         assert_allclose(idwt2(sub, bank), _oracle_idwt2(sub, bank), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", BANKS)
+@pytest.mark.parametrize(
+    "shape", EXACT_SHAPES + TWO_SAMPLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}"
+)
+def test_diagonal_detail_equals_dwt2_cdd(shape, name):
+    # The seed route computes only the highpass/highpass block, with the
+    # same products in the same order as the full analysis.
+    rng = np.random.default_rng(14)
+    bank = bank_by_name(name)
+    img = rng.uniform(0.0, 255.0, size=shape)
+    assert_array_equal(_diagonal_detail(img, bank), dwt2(img, bank).cdd)
