@@ -172,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilon",
         type=float,
         default=None,
-        help="stop when the worst-pixel error drops below this (gray levels); default 2%% of peak",
+        help="stop when the worst-pixel error drops to or below this (gray levels); "
+        "default 2%% of peak",
     )
     p.add_argument("--max-iter", type=int, default=100, help="iteration cap")
     p.add_argument("--trace-out", default=None, help="write the per-iteration trace CSV here")

@@ -6,8 +6,9 @@ five triangular membership labels (NB, NS, AZ, PS, PB) centred at
 [-1, 1], the 5x5 antisymmetric rule table :data:`RULES` mixing the error
 and its change (the diagonal band of zeros gives the loose PI-style
 tuning), min as the AND operator, and center-average defuzzification onto
-the label centers. The normalized output in [-1, 1] is rescaled by the
-caller's gains into a raw threshold increment.
+the label centers. :func:`control_step` is a pure function of the
+normalized error and its change; the caller scales raw errors into the
+universe and the output in [-1, 1] into a raw threshold increment.
 
 Scalarization reduces an error image to a signed scalar: the value of the
 pixel with the largest magnitude (ties broken toward the smallest row,
@@ -26,7 +27,6 @@ __all__ = [
     "LABELS",
     "LABEL_CENTERS",
     "RULES",
-    "ControllerConfig",
     "ScalarError",
     "scalarize",
     "fuzzify",
@@ -52,38 +52,19 @@ RULES = (
 
 
 @dataclass(frozen=True)
-class ControllerConfig:
-    """Gains around the normalized controller.
-
-    ``e_scale``/``de_scale`` map raw errors into [-1, 1]; ``dlambda_scale``
-    maps the normalized output to a raw threshold increment. There is no
-    integral-time gain: the rule table embodies the PI mixing.
-    """
-
-    e_scale: float
-    de_scale: float
-    dlambda_scale: float
-
-    def __post_init__(self):
-        for name in ("e_scale", "de_scale", "dlambda_scale"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
 class ScalarError:
     """Signed peak error ``e`` and its change ``de`` against the previous error."""
 
-    e: float = 0.0
-    de: float = 0.0
+    e: float
+    de: float
 
 
 def scalarize(error_image) -> ScalarError:
     """Reduce an error image to its signed extreme value ``e``.
 
-    With no previous error, the change ``de`` equals ``e``; a loop that
-    keeps the previous error builds ``ScalarError(e, e - previous)``.
+    With no previous error, the change ``de`` equals ``e``; the
+    calibration loop takes its change against the previous iteration's
+    ``e``, read from its trace.
     """
     arr = as_image(error_image)
     flat = int(np.argmax(np.abs(arr)))  # first occurrence: smallest row, then column
@@ -117,11 +98,10 @@ def infer(e_grades: dict, de_grades: dict) -> float:
     return numerator / total if total > 0.0 else 0.0
 
 
-def control_step(err: ScalarError, cfg: ControllerConfig) -> float:
-    """Raw threshold increment for one controller evaluation."""
-    e_grades = fuzzify(err.e * cfg.e_scale)
-    de_grades = fuzzify(err.de * cfg.de_scale)
-    return cfg.dlambda_scale * infer(e_grades, de_grades)
+def control_step(e: float, de: float) -> float:
+    """Normalized controller output in [-1, 1] for a normalized error
+    ``e`` and change in error ``de``."""
+    return infer(fuzzify(e), fuzzify(de))
 
 
 def output_surface(grid_n: int) -> np.ndarray:

@@ -12,8 +12,9 @@ is seeded from the universal threshold of the diagonal detail
 coefficients, and a fuzzy PI controller nudges it from the signed
 worst-pixel error of each despeckling attempt. The loop keeps the
 threshold with the smallest observed error magnitude, so a wandering
-trajectory can never return a threshold worse than the seed. The
-calibrated threshold is then applied open-loop to new images.
+trajectory never returns a larger worst-pixel error than the seed's; it
+can still return a larger clean-image MSE. The calibrated threshold is
+then applied open-loop to new images.
 
 Two baseline filters are included for comparison: a homomorphic windowed
 median, and the Lee local-statistics filter operating directly in the
@@ -24,10 +25,11 @@ multiplicative model).
 import io
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .fuzzy import ControllerConfig, ScalarError, control_step, scalarize
+from .fuzzy import control_step, scalarize
 from .image import as_image, exp_domain, log_domain, subtract
 from .speckle import SpeckleSpec, apply_speckle
 from .thresholding import (
@@ -80,21 +82,24 @@ class TraceStep:
     de: float
     dlambda: float
     lam: float
-    me: float
+
+    @property
+    def me(self) -> float:
+        """Error magnitude ``|e|``."""
+        return abs(self.e)
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Calibration outcome: best threshold, iteration count, and full trace."""
+    """Calibration outcome: best threshold, whether it converged, and the full trace."""
 
     lambda_star: float
-    iterations: int
     converged: bool
     trace: tuple
 
     @property
-    def initial_lambda(self) -> float:
-        return self.trace[0].lam
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def trace_to_csv(trace) -> str:
@@ -148,16 +153,6 @@ def initial_threshold(img, cfg: PipelineConfig | None = None) -> ThresholdEstima
     return _seed_threshold(_diagonal_detail(log_domain(arr), cfg.bank()), arr.shape)
 
 
-def _default_controller(peak: float, lam0: float) -> ControllerConfig:
-    # Full-scale pixel error maps to +-1; one step is capped at 10% of the
-    # seed threshold (gains must be positive, hence the lam0 == 0 fallback).
-    return ControllerConfig(
-        e_scale=1.0 / peak,
-        de_scale=1.0 / peak,
-        dlambda_scale=0.1 * lam0 if lam0 > 0 else 1.0,
-    )
-
-
 def calibrate(
     clean,
     spec: SpeckleSpec,
@@ -198,34 +193,28 @@ def calibrate(
 
     sub = _analyse(apply_speckle(clean, spec), cfg)
     lam0 = _seed_threshold(sub.cdd, sub.shape).lam
-    ctl = _default_controller(peak, lam0)
+    # Full-scale pixel error maps to +-1; one step is capped at 10% of the
+    # seed threshold (the step must be positive, hence the lam0 == 0 fallback).
+    scale = 1.0 / peak
+    step = 0.1 * lam0 if lam0 > 0 else 1.0
 
-    # Loop state: current threshold, previous error, best threshold so far.
-    lam, eh, best_lam, best_me = lam0, 0.0, lam0, float("inf")
+    lam = lam0
     worst = {}  # lam -> signed worst-pixel error; it depends on lam alone
     trace = []
-    converged = False
     for iteration in range(1, max_iter + 1):
         if lam not in worst:
             worst[lam] = scalarize(subtract(clean, _synthesise(sub, lam, cfg))).e
         e = worst[lam]
-        err = ScalarError(e=e, de=e - eh)
-        dlam = control_step(err, ctl)
-        me = abs(err.e)
-        trace.append(
-            TraceStep(iteration=iteration, e=err.e, de=err.de, dlambda=dlam, lam=lam, me=me)
-        )
-        if me < best_me:
-            best_me, best_lam = me, lam
-        eh = err.e
-        if me <= epsilon:
-            converged = True
+        de = e - (trace[-1].e if trace else 0.0)
+        dlam = step * control_step(e * scale, de * scale)
+        trace.append(TraceStep(iteration=iteration, e=e, de=de, dlambda=dlam, lam=lam))
+        if abs(e) <= epsilon:
             break
         lam = max(lam + dlam, 0.0)
+    # min keeps the first of equal magnitudes: the earliest best threshold
     return CalibrationResult(
-        lambda_star=best_lam,
-        iterations=len(trace),
-        converged=converged,
+        lambda_star=min(trace, key=attrgetter("me")).lam,
+        converged=bool(trace[-1].me <= epsilon),
         trace=tuple(trace),
     )
 

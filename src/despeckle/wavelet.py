@@ -46,9 +46,12 @@ outputs then stay in cache across all taps, where a whole-array pass
 streams 8-16 MiB arrays through memory once per tap: at 2048x2048 db4
 one half pass measured about 21-24 ms in blocks against 25-32 ms whole,
 and column strips, which cut every row into short segments, about twice
-the whole-array time. Synthesis stays whole-array: a row-blocked
-synthesis measured no faster at 2048x2048 and slower at 256x256,
-because its scatter into overlapping output rows needs gathers too.
+the whole-array time. Synthesis stays whole-array. A row-blocked
+synthesis (inputs gathered with their periodic halo) is byte-identical
+and measured 143-164 ms against 186-220 ms at 2048x2048 db4, but no
+faster at 256x256 haar, the size at which calibration synthesises once
+per distinct threshold. The large-image gain belongs with a bounded
+working set for the whole despeckle chain, not with synthesis alone.
 
 :func:`_diagonal_detail` is the analysis restricted to the diagonal
 block ``cdd``, the only one the universal-threshold seed reads: the

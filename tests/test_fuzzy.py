@@ -5,8 +5,6 @@ from despeckle.fuzzy import (
     LABEL_CENTERS,
     LABELS,
     RULES,
-    ControllerConfig,
-    ScalarError,
     control_step,
     fuzzify,
     infer,
@@ -131,32 +129,17 @@ def test_scalarize_tie_breaks_to_first_position():
     assert err.e == 4.0 and err.de == 4.0
 
 
-def test_scalar_error_defaults_zero():
-    err = ScalarError()
-    assert err.e == 0.0 and err.de == 0.0
-
-
 def test_control_step_zero_at_origin():
-    cfg = ControllerConfig(e_scale=1.0, de_scale=1.0, dlambda_scale=0.5)
-    assert control_step(ScalarError(), cfg) == 0.0
+    assert control_step(0.0, 0.0) == 0.0
 
 
 def test_control_step_gain_and_antisymmetry():
-    cfg = ControllerConfig(e_scale=1.0, de_scale=1.0, dlambda_scale=0.1)
-    assert control_step(ScalarError(e=-1.0, de=-1.0), cfg) == pytest.approx(-0.1)
+    # unit gain: full-scale negative inputs give the full-scale output
+    assert control_step(-1.0, -1.0) == -1.0
     rng = np.random.default_rng(4)
     for _ in range(200):
         e, de = rng.uniform(-2, 2, size=2)
-        plus = control_step(ScalarError(e=e, de=de), cfg)
-        minus = control_step(ScalarError(e=-e, de=-de), cfg)
-        assert plus == pytest.approx(-minus, abs=1e-12)
-
-
-def test_controller_config_requires_positive_gains():
-    with pytest.raises(ValueError):
-        ControllerConfig(e_scale=0.0, de_scale=1.0, dlambda_scale=1.0)
-    with pytest.raises(ValueError):
-        ControllerConfig(e_scale=1.0, de_scale=1.0, dlambda_scale=-0.1)
+        assert control_step(e, de) == pytest.approx(-control_step(-e, -de), abs=1e-12)
 
 
 def test_output_surface_corners_center_and_rotation():

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import despeckle.pipeline as pipeline_mod
 import despeckle.wavelet as wavelet_mod
-from despeckle.fuzzy import ScalarError, control_step, scalarize
+from despeckle.fuzzy import control_step, scalarize
 from despeckle.image import exp_domain, log_domain, subtract
 from despeckle.metrics import deflection_ratio, full_report, msd, nmv_nv_nsd
 from despeckle.pipeline import (
@@ -214,11 +216,27 @@ def test_calibrate_lambda_never_negative():
     assert result.lambda_star >= 0.0
 
 
-def test_calibrate_vacuous_epsilon_converges_immediately():
+@pytest.mark.parametrize("epsilon", [1e9, np.float64(1e9)], ids=["float", "numpy"])
+def test_calibrate_vacuous_epsilon_converges_immediately(epsilon):
     result = calibrate(
-        _small_phantom(), SpeckleSpec(kind="gamma", looks=3, seed=6), epsilon=1e9
+        _small_phantom(), SpeckleSpec(kind="gamma", looks=3, seed=6), epsilon=epsilon
     )
-    assert result.converged and result.iterations == 1
+    # a plain bool, even for a numpy epsilon, so the CLI can serialise it
+    assert result.converged is True and result.iterations == 1
+    assert json.dumps(result.converged) == "true"
+
+
+def test_calibrate_zero_seed_steps_at_unit_gain():
+    # A zero seed threshold would make a step of 10% of the seed zero, so the
+    # step gain falls back to 1: each increment is the normalized controller
+    # output itself.
+    clean = np.zeros((64, 64))
+    clean[8:24, 8:24] = 200.0
+    result = calibrate(clean, SpeckleSpec(seed=1))
+    assert result.trace[0].lam == 0.0
+    assert [step.dlambda for step in result.trace[:2]] == [-1.0, -0.5]
+    for step in result.trace:
+        assert step.dlambda == control_step(step.e * (1.0 / 200.0), step.de * (1.0 / 200.0))
 
 
 def test_calibrate_deterministic():
@@ -234,7 +252,7 @@ def test_calibrate_best_lambda_no_mse_regression():
     result = calibrate(clean, spec, max_iter=30)
     noisy = apply_speckle(clean, spec)
     mse_star = float(((despeckle(noisy, result.lambda_star) - clean) ** 2).mean())
-    mse_seed = float(((despeckle(noisy, result.initial_lambda) - clean) ** 2).mean())
+    mse_seed = float(((despeckle(noisy, result.trace[0].lam) - clean) ** 2).mean())
     assert mse_star <= mse_seed + 1e-12
 
 
@@ -262,28 +280,30 @@ def test_trace_csv_round_trip():
 
 def _reference_calibrate(clean, spec, cfg, max_iter=100):
     """Reference loop: the whole chain through despeckle on every
-    iteration, with calibrate's default controller and epsilon."""
+    iteration, with calibrate's gains and default epsilon, and its own
+    bookkeeping of the previous error, the best threshold and convergence."""
     peak = float(np.abs(clean).max())
     noisy = apply_speckle(clean, spec)
     lam0 = initial_threshold(noisy, cfg).lam
-    ctl = pipeline_mod._default_controller(peak, lam0)
+    scale = 1.0 / peak
+    step = 0.1 * lam0 if lam0 > 0 else 1.0
     lam, eh, best_lam, best_me = lam0, 0.0, lam0, float("inf")
     trace = []
     converged = False
     for iteration in range(1, max_iter + 1):
         e = scalarize(subtract(clean, despeckle(noisy, lam, cfg))).e
-        err = ScalarError(e=e, de=e - eh)
-        dlam = control_step(err, ctl)
-        me = abs(err.e)
-        trace.append(TraceStep(iteration, err.e, err.de, dlam, lam, me))
+        de = e - eh
+        dlam = step * control_step(e * scale, de * scale)
+        me = abs(e)
+        trace.append(TraceStep(iteration, e, de, dlam, lam))
         if me < best_me:
             best_me, best_lam = me, lam
-        eh = err.e
+        eh = e
         if me <= 0.02 * peak:
             converged = True
             break
         lam = max(lam + dlam, 0.0)
-    return CalibrationResult(best_lam, len(trace), converged, tuple(trace))
+    return CalibrationResult(best_lam, converged, tuple(trace))
 
 
 # (speckle kind, seed, shrink, wavelet, whether lambda clamps to 0 on the 64^2 phantom)
