@@ -36,8 +36,8 @@ __all__ = [
     "surface_to_csv",
 ]
 
-LABELS = ("NB", "NS", "AZ", "PS", "PB")
 LABEL_CENTERS = {"NB": -1.0, "NS": -0.5, "AZ": 0.0, "PS": 0.5, "PB": 1.0}
+LABELS = tuple(LABEL_CENTERS)
 _HALF_WIDTH = 0.5
 
 # Output label of each rule: rows are the change-in-error label, columns the
@@ -53,23 +53,20 @@ RULES = (
 
 @dataclass(frozen=True)
 class ScalarError:
-    """Signed peak error ``e`` and its change ``de`` against the previous error."""
+    """Signed peak error ``e`` of an error image."""
 
     e: float
-    de: float
 
 
 def scalarize(error_image) -> ScalarError:
     """Reduce an error image to its signed extreme value ``e``.
 
-    With no previous error, the change ``de`` equals ``e``; the
-    calibration loop takes its change against the previous iteration's
-    ``e``, read from its trace.
+    The calibration loop takes the change in error against the previous
+    iteration's ``e``, read from its trace.
     """
     arr = as_image(error_image)
     flat = int(np.argmax(np.abs(arr)))  # first occurrence: smallest row, then column
-    e = float(arr.flat[flat])
-    return ScalarError(e=e, de=e)
+    return ScalarError(e=float(arr.flat[flat]))
 
 
 def fuzzify(u: float) -> dict:

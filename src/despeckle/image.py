@@ -68,6 +68,22 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
+def _payload(data: bytes, start: int, need: int) -> bytes:
+    """The ``need`` sample bytes at ``start``, which must end ``data`` exactly."""
+    payload = data[start : start + need]
+    if len(payload) < need:
+        raise PgmError(
+            f"truncated payload at byte {start + len(payload)}: "
+            f"expected {need} bytes, got {len(payload)}"
+        )
+    if len(data) > start + need:
+        raise PgmError(
+            f"{len(data) - start - need} unexpected byte(s) after the last sample "
+            f"at byte {start + need}"
+        )
+    return payload
+
+
 def read_pgm(data: bytes) -> np.ndarray:
     """Parse a binary PGM (``P5``) byte string into a float64 image.
 
@@ -96,19 +112,8 @@ def read_pgm(data: bytes) -> np.ndarray:
         raise PgmError(f"missing whitespace before samples at byte {pos}")
     pos += 1
     sample_bytes = 2 if maxval > 255 else 1
-    need = rows * cols * sample_bytes
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise PgmError(
-            f"truncated payload at byte {pos + len(payload)}: "
-            f"expected {need} sample bytes, got {len(payload)}"
-        )
-    if len(data) > pos + need:
-        raise PgmError(
-            f"{len(data) - pos - need} unexpected byte(s) after the last sample at byte {pos + need}"
-        )
-    dtype = ">u2" if sample_bytes == 2 else "u1"
-    samples = np.frombuffer(payload, dtype=dtype)
+    payload = _payload(data, pos, rows * cols * sample_bytes)
+    samples = np.frombuffer(payload, dtype=">u2" if sample_bytes == 2 else "u1")
     above = np.flatnonzero(samples > maxval)
     if above.size:
         first = int(above[0])
@@ -147,19 +152,7 @@ def read_f64(data: bytes) -> np.ndarray:
         raise PgmError(f"invalid F64 dimensions {data[4:end]!r} at byte 4") from None
     if rows <= 0 or cols <= 0:
         raise PgmError(f"F64 dimensions must be positive, got {rows}x{cols} at byte 4")
-    need = rows * cols * 8
-    payload = data[end + 1 : end + 1 + need]
-    if len(payload) < need:
-        raise PgmError(
-            f"truncated F64 payload at byte {end + 1 + len(payload)}: "
-            f"expected {need} bytes, got {len(payload)}"
-        )
-    if len(data) > end + 1 + need:
-        raise PgmError(
-            f"{len(data) - end - 1 - need} unexpected byte(s) after the last sample "
-            f"at byte {end + 1 + need}"
-        )
-    samples = np.frombuffer(payload, dtype="<f8")
+    samples = np.frombuffer(_payload(data, end + 1, rows * cols * 8), dtype="<f8")
     nonfinite = np.flatnonzero(~np.isfinite(samples))
     if nonfinite.size:
         first = int(nonfinite[0])

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._strips import _bounds
-from .image import as_image
+from .image import as_image, subtract
 
 __all__ = [
     "MetricsReport",
@@ -86,11 +86,7 @@ def nmv_nv_nsd(img) -> tuple:
 
 def msd(reference, candidate) -> float:
     """Mean squared difference between two equally sized images."""
-    a = as_image(reference)
-    b = as_image(candidate)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
+    diff = subtract(reference, candidate)
     diff *= diff
     return float(diff.mean())
 

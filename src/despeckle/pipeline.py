@@ -30,7 +30,7 @@ from operator import attrgetter
 import numpy as np
 
 from .fuzzy import control_step, scalarize
-from .image import as_image, exp_domain, log_domain, subtract
+from .image import as_image, exp_domain, log_domain
 from .speckle import SpeckleSpec, apply_speckle
 from .thresholding import (
     ThresholdEstimate,
@@ -39,7 +39,7 @@ from .thresholding import (
     soft_threshold,
     universal_threshold,
 )
-from .wavelet import FilterBank, Subbands, _diagonal_detail, bank_by_name, dwt2, idwt2
+from .wavelet import Subbands, _diagonal_detail, bank_by_name, dwt2, idwt2
 
 __all__ = [
     "SHRINKERS",
@@ -69,15 +69,11 @@ class PipelineConfig:
             raise ValueError(f"shrink must be one of {tuple(SHRINKERS)}, got {self.shrink!r}")
         bank_by_name(self.wavelet)  # reject unknown names eagerly
 
-    def bank(self) -> FilterBank:
-        return bank_by_name(self.wavelet)
-
 
 @dataclass(frozen=True)
 class TraceStep:
     """One calibration iteration: the threshold evaluated and its outcome."""
 
-    iteration: int
     e: float
     de: float
     dlambda: float
@@ -103,12 +99,13 @@ class CalibrationResult:
 
 
 def trace_to_csv(trace) -> str:
-    """CSV export of a calibration trace (one row per iteration)."""
+    """CSV export of a calibration trace: one row per iteration, numbered
+    from 1 by its position in the trace."""
     buf = io.StringIO()
     buf.write("iter,e,de,dlambda,lambda,me\n")
-    for step in trace:
+    for iteration, step in enumerate(trace, 1):
         buf.write(
-            f"{step.iteration},{step.e!r},{step.de!r},{step.dlambda!r},"
+            f"{iteration},{step.e!r},{step.de!r},{step.dlambda!r},"
             f"{step.lam!r},{step.me!r}\n"
         )
     return buf.getvalue()
@@ -116,7 +113,7 @@ def trace_to_csv(trace) -> str:
 
 def _analyse(arr: np.ndarray, cfg: PipelineConfig) -> Subbands:
     """Log-domain wavelet coefficients of a validated image."""
-    return dwt2(log_domain(arr), cfg.bank())
+    return dwt2(log_domain(arr), bank_by_name(cfg.wavelet))
 
 
 def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig) -> np.ndarray:
@@ -125,7 +122,7 @@ def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig) -> np.ndarray:
     thresholded = replace(
         sub, chd=shrink(sub.chd, lam), cvd=shrink(sub.cvd, lam), cdd=shrink(sub.cdd, lam)
     )
-    out = exp_domain(idwt2(thresholded, cfg.bank()))
+    out = exp_domain(idwt2(thresholded, bank_by_name(cfg.wavelet)))
     return np.maximum(out, 0.0, out=out)
 
 
@@ -145,12 +142,13 @@ def initial_threshold(img, cfg: PipelineConfig | None = None) -> ThresholdEstima
 
     Only that block is computed: the highpass row pass of the log image,
     then the highpass column pass of its output. The coefficients equal
-    ``dwt2(log_domain(img), cfg.bank()).cdd`` bit for bit, at about half
-    the cost of the full analysis.
+    ``dwt2(log_domain(img), bank_by_name(cfg.wavelet)).cdd`` bit for bit,
+    at about half the cost of the full analysis.
     """
     cfg = cfg or PipelineConfig()
     arr = as_image(img)
-    return _seed_threshold(_diagonal_detail(log_domain(arr), cfg.bank()), arr.shape)
+    bank = bank_by_name(cfg.wavelet)
+    return _seed_threshold(_diagonal_detail(log_domain(arr), bank), arr.shape)
 
 
 def calibrate(
@@ -201,13 +199,14 @@ def calibrate(
     lam = lam0
     worst = {}  # lam -> signed worst-pixel error; it depends on lam alone
     trace = []
-    for iteration in range(1, max_iter + 1):
+    for _ in range(max_iter):
         if lam not in worst:
-            worst[lam] = scalarize(subtract(clean, _synthesise(sub, lam, cfg))).e
+            # clean is validated above and exp_domain checks the synthesis
+            worst[lam] = scalarize(clean - _synthesise(sub, lam, cfg)).e
         e = worst[lam]
         de = e - (trace[-1].e if trace else 0.0)
         dlam = step * control_step(e * scale, de * scale)
-        trace.append(TraceStep(iteration=iteration, e=e, de=de, dlambda=dlam, lam=lam))
+        trace.append(TraceStep(e=e, de=de, dlambda=dlam, lam=lam))
         if abs(e) <= epsilon:
             break
         lam = max(lam + dlam, 0.0)
@@ -228,12 +227,11 @@ def despeckle(noisy, lambda_star: float, cfg: PipelineConfig | None = None) -> n
     return _synthesise(_analyse(as_image(noisy), cfg), lambda_star, cfg)
 
 
-def _check_kernel(kernel: int, shape) -> int:
+def _check_kernel(kernel: int, shape) -> None:
     if kernel < 3 or kernel % 2 == 0:
         raise ValueError(f"kernel must be an odd integer >= 3, got {kernel}")
     if kernel > min(shape):
         raise ValueError(f"kernel {kernel} larger than image {shape}")
-    return kernel
 
 
 def median_filter_homomorphic(noisy, kernel: int = 3) -> np.ndarray:

@@ -29,11 +29,10 @@ MAD_SCALE = 0.6745
 
 @dataclass(frozen=True)
 class ThresholdEstimate:
-    """Noise estimate ``delta_mad``, threshold ``lam``, and sample count ``n``."""
+    """Noise estimate ``delta_mad`` and threshold ``lam``."""
 
     delta_mad: float
     lam: float
-    n: int
 
 
 def mad_sigma(coeffs) -> float:
@@ -54,7 +53,7 @@ def universal_threshold(delta_mad: float, n: int) -> ThresholdEstimate:
     if not np.isfinite(delta_mad) or delta_mad < 0:
         raise ValueError(f"delta_mad must be a non-negative finite real, got {delta_mad}")
     lam = delta_mad * math.sqrt(2.0 * math.log(n))
-    return ThresholdEstimate(delta_mad=delta_mad, lam=lam, n=int(n))
+    return ThresholdEstimate(delta_mad=delta_mad, lam=lam)
 
 
 def hard_threshold(sub, lam: float) -> np.ndarray:

@@ -108,19 +108,18 @@ _LOWPASS = {
 class FilterBank:
     """Orthogonal analysis pair; highpass is the alternating-sign flip of lowpass."""
 
-    name: str
     lowpass: np.ndarray
     highpass: np.ndarray
 
 
-def _bank(name: str, taps: tuple) -> FilterBank:
+def _bank(taps: tuple) -> FilterBank:
     h = np.array(taps, dtype=np.float64)
     g = ((-1.0) ** np.arange(h.size)) * h[::-1]
     h.flags.writeable = g.flags.writeable = False  # one instance per name is shared
-    return FilterBank(name=name, lowpass=h, highpass=g)
+    return FilterBank(lowpass=h, highpass=g)
 
 
-_BANKS = {name: _bank(name, taps) for name, taps in _LOWPASS.items()}
+_BANKS = {name: _bank(taps) for name, taps in _LOWPASS.items()}
 SUPPORTED_BANKS = tuple(_BANKS)
 
 

@@ -5,6 +5,7 @@ from despeckle.fuzzy import (
     LABEL_CENTERS,
     LABELS,
     RULES,
+    ScalarError,
     control_step,
     fuzzify,
     infer,
@@ -116,17 +117,17 @@ def test_infer_monotone_in_error_on_grid():
 
 def test_scalarize_signed_peak():
     err = scalarize(np.array([[1.0, -5.0], [2.0, 3.0]]))
-    assert err.e == -5.0 and err.de == -5.0
+    assert err == ScalarError(e=-5.0)
 
 
 def test_scalarize_zero_image():
     err = scalarize(np.zeros((3, 3)))
-    assert err.e == 0.0 and err.de == 0.0
+    assert err == ScalarError(e=0.0)
 
 
 def test_scalarize_tie_breaks_to_first_position():
     err = scalarize(np.array([[4.0, -4.0]]))
-    assert err.e == 4.0 and err.de == 4.0
+    assert err == ScalarError(e=4.0)
 
 
 def test_control_step_zero_at_origin():

@@ -53,7 +53,7 @@ def test_msd():
     a, b = rng.uniform(0, 255, (2, 9, 9))
     assert msd(a, b) == pytest.approx(((a - b) ** 2).sum() / a.size, rel=1e-12)
     assert msd(a, b) == msd(b, a)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 2\) vs \(3, 2\)$"):
         msd(np.zeros((2, 2)), np.zeros((3, 2)))
 
 

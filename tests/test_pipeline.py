@@ -45,7 +45,7 @@ def test_shrink_once_huge_threshold_keeps_approximation_only():
     rng = np.random.default_rng(32)
     cfg = PipelineConfig(wavelet="db2", shrink="soft")
     img = rng.uniform(1, 200, size=(16, 16))
-    sub = dwt2(log_domain(img), cfg.bank())
+    sub = dwt2(log_domain(img), bank_by_name(cfg.wavelet))
     lam = max(np.abs(b).max() for b in (sub.chd, sub.cvd, sub.cdd)) + 1.0
     from dataclasses import replace
 
@@ -54,7 +54,7 @@ def test_shrink_once_huge_threshold_keeps_approximation_only():
     from despeckle.image import exp_domain
     from despeckle.wavelet import idwt2
 
-    expected = np.maximum(exp_domain(idwt2(ca_only, cfg.bank())), 0.0)
+    expected = np.maximum(exp_domain(idwt2(ca_only, bank_by_name(cfg.wavelet))), 0.0)
     assert_allclose(despeckle(img, lam, cfg), expected, rtol=0, atol=1e-10)
 
 
@@ -112,10 +112,11 @@ def test_initial_threshold_subband_selection():
     rng = np.random.default_rng(35)
     img = rng.uniform(1, 255, size=(32, 32))
     cfg = PipelineConfig()
-    cdd = dwt2(log_domain(img), cfg.bank()).cdd
+    cdd = dwt2(log_domain(img), bank_by_name(cfg.wavelet)).cdd
     est = initial_threshold(img, cfg)
     assert est.delta_mad == pytest.approx(mad_sigma(cdd), rel=1e-12)
-    assert est.n == cdd.size
+    # the seed counts the diagonal block's coefficients
+    assert est.lam == pytest.approx(universal_threshold(est.delta_mad, cdd.size).lam, rel=1e-12)
 
 
 def test_initial_threshold_small_for_smooth_image():
@@ -152,7 +153,7 @@ def test_initial_threshold_runs_no_full_analysis(monkeypatch):
     # equals the one taken from the full analysis.
     img = apply_speckle(_small_phantom(), SpeckleSpec(kind="rayleigh", seed=3))
     cfg = PipelineConfig(wavelet="db4")
-    sub = dwt2(log_domain(img), cfg.bank())
+    sub = dwt2(log_domain(img), bank_by_name(cfg.wavelet))
     expected = universal_threshold(mad_sigma(sub.cdd), sub.cdd.size)
     calls = []
 
@@ -194,8 +195,7 @@ def test_calibrate_trace_contract():
     assert isinstance(result, CalibrationResult)
     assert 1 <= result.iterations <= 20
     assert len(result.trace) == result.iterations
-    for t, step in enumerate(result.trace, start=1):
-        assert step.iteration == t
+    for step in result.trace:
         assert step.me == abs(step.e)
     for prev, cur in zip(result.trace, result.trace[1:]):
         assert cur.de == pytest.approx(cur.e - prev.e, rel=1e-12, abs=1e-12)
@@ -273,9 +273,10 @@ def test_trace_csv_round_trip():
     lines = text.strip().split("\n")
     assert lines[0] == "iter,e,de,dlambda,lambda,me"
     assert len(lines) - 1 == result.iterations
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[4]) == result.trace[0].lam
+    rows = [line.split(",") for line in lines[1:]]
+    # a row's number is its 1-based position in the trace
+    assert [int(row[0]) for row in rows] == list(range(1, result.iterations + 1))
+    assert float(rows[0][4]) == result.trace[0].lam
 
 
 def _reference_calibrate(clean, spec, cfg, max_iter=100):
@@ -290,12 +291,12 @@ def _reference_calibrate(clean, spec, cfg, max_iter=100):
     lam, eh, best_lam, best_me = lam0, 0.0, lam0, float("inf")
     trace = []
     converged = False
-    for iteration in range(1, max_iter + 1):
+    for _ in range(max_iter):
         e = scalarize(subtract(clean, despeckle(noisy, lam, cfg))).e
         de = e - eh
         dlam = step * control_step(e * scale, de * scale)
         me = abs(e)
-        trace.append(TraceStep(iteration, e, de, dlam, lam))
+        trace.append(TraceStep(e, de, dlam, lam))
         if me < best_me:
             best_me, best_lam = me, lam
         eh = e
@@ -508,7 +509,7 @@ def test_results_never_reuse_caller_memory(name):
     clean = _small_phantom()
     noisy = apply_speckle(clean, spec)
     out = despeckle(noisy, 1.0, cfg)
-    band = dwt2(log_domain(noisy), cfg.bank()).cdd
+    band = dwt2(log_domain(noisy), bank_by_name(cfg.wavelet)).cdd
     fn, *args = {
         "log_domain": (log_domain, noisy),
         "exp_domain": (exp_domain, log_domain(noisy)),
