@@ -96,12 +96,9 @@ def read_pgm(data: bytes) -> np.ndarray:
     values = []
     for name in ("width", "height", "maxval"):
         token, pos = _next_token(data, pos)
-        try:
-            value = int(token)
-        except ValueError:
-            raise PgmError(
-                f"invalid {name} {token!r} at byte {pos - len(token)}"
-            ) from None
+        if not token.isdigit():  # ASCII decimal only, not int()'s signs and underscores
+            raise PgmError(f"invalid {name} {token!r} at byte {pos - len(token)}")
+        value = int(token)
         if value <= 0:
             raise PgmError(f"{name} must be positive, got {value} at byte {pos - len(token)}")
         values.append(value)
@@ -146,10 +143,9 @@ def read_f64(data: bytes) -> np.ndarray:
     parts = data[4:end].split()
     if len(parts) != 2:
         raise PgmError(f"expected '<rows> <cols>' at byte 4, got {data[4:end]!r}")
-    try:
-        rows, cols = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise PgmError(f"invalid F64 dimensions {data[4:end]!r} at byte 4") from None
+    if not all(part.isdigit() for part in parts):
+        raise PgmError(f"invalid F64 dimensions {data[4:end]!r} at byte 4")
+    rows, cols = (int(part) for part in parts)
     if rows <= 0 or cols <= 0:
         raise PgmError(f"F64 dimensions must be positive, got {rows}x{cols} at byte 4")
     samples = np.frombuffer(_payload(data, end + 1, rows * cols * 8), dtype="<f8")

@@ -18,40 +18,28 @@ Odd-sized inputs (including single rows and columns) are padded by edge
 replication to the next even size and cropped back on synthesis; the
 pre-pad shape is recorded in :class:`Subbands`.
 
-Each axis is filtered in polyphase form. With periodic extension, output
-``i`` of tap ``k`` reads sample ``(2i + k) mod n``, which is sample
-``i + k // 2`` (mod ``n / 2``) of the even (``k`` even) or odd (``k`` odd)
-phase. Every tap is therefore a strided slice of the axis rotated by a
-whole number of samples (or, on a block that carries its halo, shifted
-without wrapping): slice-wise multiplies into one buffer, then an
-in-place add. Synthesis adds tap ``k``'s ``lo * h[k] + hi * g[k]`` into
-phase ``k % 2`` rotated the other way. No index arrays or tap-window
-copies are built. The form is exact, not an approximation: it computes
-the same products and adds them in the same tap order as the direct
-periodic convolution, so coefficients round identically.
+Each axis is filtered in polyphase form: with periodic extension,
+lowpass output ``i`` is ``sum_k h[k] * x[(2i + k) mod n]``, so tap ``k``
+is one strided slice of the axis, multiplied into one buffer and added
+in place. Synthesis adds tap ``k``'s ``lo * h[k] + hi * g[k]`` into
+phase ``k % 2`` shifted by ``k // 2``. The form is exact, not an
+approximation: it computes the same products and adds them in the same
+tap order as the direct periodic convolution, so coefficients round
+identically.
 
-The axis-1 passes run in cache-sized strips of rows that filter
-independently, each written into a preallocated output (see
-``_strips``); every coefficient is computed by the same operations in the
-same order as in one whole-array pass, so results do not depend on the
-strip count.
-
-The axis-0 analysis passes run in blocks of output rows. Each block
-gathers its input rows plus the periodic halo of ``taps - 2`` rows that
-follows them (wrapping past the end of the axis, several times over on
-axes shorter than the halo) into one contiguous array, and filters it
-with the same products added in the same tap order, so coefficients do
-not depend on the block size either. A block's input, product buffer and
-outputs then stay in cache across all taps, where a whole-array pass
-streams 8-16 MiB arrays through memory once per tap: at 2048x2048 db4
-one half pass measured about 21-24 ms in blocks against 25-32 ms whole,
-and column strips, which cut every row into short segments, about twice
-the whole-array time. Synthesis stays whole-array. A row-blocked
-synthesis (inputs gathered with their periodic halo) is byte-identical
-and measured 143-164 ms against 186-220 ms at 2048x2048 db4, but no
-faster at 256x256 haar, the size at which calibration synthesises once
-per distinct threshold. The large-image gain belongs with a bounded
-working set for the whole despeckle chain, not with synthesis alone.
+Every pass runs block by block, and :func:`_window` owns the periodic
+boundary: it hands a block its samples plus the halo its taps reach, a
+view when they lie inside the array and a wrapped copy otherwise (also
+on axes shorter than the halo). Analysis windows carry the ``taps - 2``
+samples after the block, synthesis windows the ``taps // 2 - 1`` samples
+before it. Axis-1 passes run in cache-sized strips of rows (see
+``_strips``); axis-0 passes run in blocks of a quarter strip of rows, so
+a block's input, products and outputs stay in cache across all taps
+where a whole-array pass streams 8-16 MiB arrays through memory once per
+tap (at 2048x2048 db4, one analysis half pass measured about 21-24 ms in
+blocks against 25-32 ms whole). Each block writes a disjoint part of a
+preallocated output with the same operations in the same order, so
+results do not depend on the block size.
 
 :func:`_diagonal_detail` is the analysis restricted to the diagonal
 block ``cdd``, the only one the universal-threshold seed reads: the
@@ -156,40 +144,27 @@ def _along(axis: int, index) -> tuple:
     return (index, slice(None)) if axis == 0 else (slice(None), index)
 
 
-def _rotation(axis: int, half: int, length: int, shift: int):
-    """(destination, source) index pairs that read samples ``shift`` to
-    ``shift + half - 1`` of a length-``length`` axis, wrapping past its end:
-    ``out[dst] = x[src]`` for both pairs. With ``length == half`` this
-    rotates the axis left by ``shift``; with ``length >= half + shift`` the
-    second pair is empty."""
-    cut = min(half, length - shift)
-    return (
-        (_along(axis, slice(0, cut)), _along(axis, slice(shift, shift + cut))),
-        (_along(axis, slice(cut, None)), _along(axis, slice(0, half - cut))),
-    )
-
-
-def _phases(x: np.ndarray, axis: int):
-    """Even and odd samples along ``axis`` (views)."""
-    return x[_along(axis, slice(0, None, 2))], x[_along(axis, slice(1, None, 2))]
+def _window(x: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
+    """Samples ``start`` to ``stop - 1`` along ``axis`` of the periodic
+    extension of ``x``: a view when they lie inside ``x``, else a copy."""
+    if 0 <= start and stop <= x.shape[axis]:
+        return x[_along(axis, slice(start, stop))]
+    return np.take(x, np.arange(start, stop), axis=axis, mode="wrap")
 
 
 def _analyze_axis(
-    x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, lo: np.ndarray | None, hi: np.ndarray
+    w: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, lo: np.ndarray | None, hi: np.ndarray
 ) -> None:
-    # lo[i] = sum_k h[k] * x[2i + k], indices wrapping at the end of x:
-    # tap k reads phase k % 2 from sample k // 2 on. Taps accumulate in
-    # order, so sums round as a dot product. ``lo`` None skips the lowpass.
-    phases = _phases(x, axis)
-    half, length = hi.shape[axis], phases[0].shape[axis]
+    # lo[i] = sum_k h[k] * w[2i + k] on a window carrying the taps - 2
+    # samples after the block. Taps accumulate in order, so sums round as
+    # a dot product. ``lo`` None skips the lowpass.
+    half = hi.shape[axis]
     bands = ((hi, g),) if lo is None else ((lo, h), (hi, g))
     buf = np.empty(hi.shape)
     for k in range(h.size):
-        reads = _rotation(axis, half, length, (k // 2) % length)
+        src = w[_along(axis, slice(k, k + 2 * half, 2))]
         for acc, taps in bands:
-            product = buf if k else acc  # tap 0 starts the sum
-            for dst, src in reads:
-                np.multiply(phases[k % 2][src], taps[k], out=product[dst])
+            np.multiply(src, taps[k], out=buf if k else acc)  # tap 0 starts the sum
             if k:
                 acc += buf
 
@@ -198,8 +173,9 @@ def _analyze_rows(
     x: np.ndarray, h: np.ndarray, g: np.ndarray, lo: np.ndarray | None, hi: np.ndarray
 ) -> None:
     """Axis-1 pass (each row filtered), in strips of rows."""
+    stop = x.shape[1] + h.size - 2
     for s in _bounds(x.shape[0], x[0].nbytes):
-        _analyze_axis(x[s], h, g, 1, None if lo is None else lo[s], hi[s])
+        _analyze_axis(_window(x[s], 1, 0, stop), h, g, 1, None if lo is None else lo[s], hi[s])
 
 
 def _analyze_columns(
@@ -208,32 +184,53 @@ def _analyze_columns(
     """Axis-0 pass (each column filtered), in blocks of output rows.
 
     Output rows ``start:stop`` read input rows ``2 * start`` to
-    ``2 * stop + taps - 3``, wrapping at the end of the axis; a block
-    gathers them into one contiguous array. Per output row a block holds
-    two input rows, a product row and up to two output rows, so blocks of
-    a quarter strip of output rows keep that working set near one strip
-    (at 2048x2048, the fastest of the block sizes tried)."""
-    n = x.shape[0]
+    ``2 * stop + taps - 3``. Per output row a block holds two input rows,
+    a product row and up to two output rows, so blocks of a quarter strip
+    of output rows keep that working set near one strip (at 2048x2048,
+    the fastest of the block sizes tried)."""
     for s in _bounds(hi.shape[0], 4 * hi[0].nbytes):
-        rows = np.arange(2 * s.start, 2 * s.stop + h.size - 2) % n
-        _analyze_axis(x[rows], h, g, 0, None if lo is None else lo[s], hi[s])
+        w = _window(x, 0, 2 * s.start, 2 * s.stop + h.size - 2)
+        _analyze_axis(w, h, g, 0, None if lo is None else lo[s], hi[s])
 
 
 def _synthesize_axis(
     lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, out: np.ndarray
 ) -> None:
-    # out[(2i + k) % n] += lo[i] * h[k] + hi[i] * g[k]: tap k adds to phase
-    # k % 2 rotated right by k // 2, in tap order.
-    half = lo.shape[axis]
+    # out[2i + k] += lo[i] * h[k] + hi[i] * g[k] on windows carrying the
+    # taps // 2 - 1 samples before the block: tap k adds to phase k % 2
+    # the window shifted by k // 2, in tap order.
+    half = out.shape[axis] // 2
+    halo = lo.shape[axis] - half
     out.fill(0.0)
-    phases = _phases(out, axis)
     term, buf = np.empty(lo.shape), np.empty(lo.shape)
     for k in range(h.size):
         np.multiply(lo, h[k], out=term)
         np.multiply(hi, g[k], out=buf)
         term += buf
-        for dst, src in _rotation(axis, half, half, (k // 2) % half):
-            phases[k % 2][src] += term[dst]
+        shift = halo - k // 2
+        out[_along(axis, slice(k % 2, None, 2))] += term[_along(axis, slice(shift, shift + half))]
+
+
+def _synthesize_rows(
+    lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, out: np.ndarray
+) -> None:
+    """Axis-1 synthesis (each row), in strips of output rows."""
+    halo = h.size // 2 - 1
+    for s in _bounds(out.shape[0], out[0].nbytes):
+        windows = (_window(band[s], 1, -halo, band.shape[1]) for band in (lo, hi))
+        _synthesize_axis(*windows, h, g, 1, out[s])
+
+
+def _synthesize_columns(
+    lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, out: np.ndarray
+) -> None:
+    """Axis-0 synthesis (each column), in blocks of input rows: the
+    quarter-strip blocks of :func:`_analyze_columns`, read with the
+    ``taps // 2 - 1`` rows before them."""
+    halo = h.size // 2 - 1
+    for s in _bounds(lo.shape[0], 4 * lo[0].nbytes):
+        windows = (_window(band, 0, s.start - halo, s.stop) for band in (lo, hi))
+        _synthesize_axis(*windows, h, g, 0, out[2 * s.start : 2 * s.stop])
 
 
 def _even(x: np.ndarray) -> np.ndarray:
@@ -277,10 +274,9 @@ def idwt2(sub: Subbands, bank: FilterBank) -> np.ndarray:
     h, g = bank.lowpass, bank.highpass
     half_rows, half_cols = sub.ca.shape
     lo, hi = (np.empty((2 * half_rows, half_cols)) for _ in range(2))
-    _synthesize_axis(sub.ca, sub.chd, h, g, 0, lo)
-    _synthesize_axis(sub.cvd, sub.cdd, h, g, 0, hi)
+    _synthesize_columns(sub.ca, sub.chd, h, g, lo)
+    _synthesize_columns(sub.cvd, sub.cdd, h, g, hi)
     full = np.empty((2 * half_rows, 2 * half_cols))
-    for s in _bounds(full.shape[0], full[0].nbytes):
-        _synthesize_axis(lo[s], hi[s], h, g, 1, full[s])
+    _synthesize_rows(lo, hi, h, g, full)
     rows, cols = sub.shape
     return full[:rows, :cols]

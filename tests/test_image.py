@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,23 @@ def test_read_pgm_maxval_out_of_range():
 def test_read_pgm_malformed_dimension_names_offset():
     with pytest.raises(PgmError, match="byte 3"):
         read_pgm(b"P5\nxy 2\n255\n" + bytes(4))
+
+
+# Header fields are ASCII decimal: int()'s signs and digit separators are
+# not, so each of these names its field instead of parsing.
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n1_0 1\n255\n" + bytes(10), "invalid width b'1_0' at byte 3"),
+        (b"P5\n+2 1\n255\n" + bytes(2), "invalid width b'+2' at byte 3"),
+        (b"P5\n2 -1\n255\n" + bytes(2), "invalid height b'-1' at byte 5"),
+        (b"P5\n2 1\n2_55\n" + bytes(2), "invalid maxval b'2_55' at byte 7"),
+    ],
+    ids=["underscore", "plus", "minus", "maxval"],
+)
+def test_read_pgm_non_decimal_field_names_offset(data, message):
+    with pytest.raises(PgmError, match=f"^{re.escape(message)}$"):
+        read_pgm(data)
 
 
 @pytest.mark.parametrize(
@@ -132,6 +150,21 @@ def test_f64_rejects_nonfinite_sample_names_offset(index, value):
     samples[index] = value
     data = b"F64\n2 3\n" + samples.astype("<f8").tobytes()
     with pytest.raises(PgmError, match=f"non-finite sample {value} at byte {8 + 8 * index}$"):
+        read_f64(data)
+
+
+@pytest.mark.parametrize(
+    "data, dims",
+    [
+        (b"F64\n+1 0_1\n" + bytes(8), b"+1 0_1"),
+        (b"F64\n1_0 1\n" + bytes(80), b"1_0 1"),
+        (b"F64\n-1 1\n" + bytes(8), b"-1 1"),
+    ],
+    ids=["plus-underscore", "underscore", "minus"],
+)
+def test_read_f64_non_decimal_dimensions_names_offset(data, dims):
+    message = f"invalid F64 dimensions {dims!r} at byte 4"
+    with pytest.raises(PgmError, match=f"^{re.escape(message)}$"):
         read_f64(data)
 
 

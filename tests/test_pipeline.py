@@ -22,7 +22,7 @@ from despeckle.pipeline import (
 )
 from despeckle.speckle import SpeckleSpec, apply_speckle
 from despeckle.thresholding import hard_threshold, mad_sigma, soft_threshold, universal_threshold
-from despeckle.wavelet import bank_by_name, dwt2
+from despeckle.wavelet import Subbands, bank_by_name, dwt2, idwt2
 
 
 # ---------------------------------------------------------------- despeckle
@@ -497,7 +497,20 @@ CALLER_INPUT_CASES = [
     "mad_sigma",
     "hard_threshold",
     "soft_threshold",
+    "dwt2",
+    "idwt2",
 ]
+
+
+def _arrays(values) -> list:
+    """The arrays among ``values``, a ``Subbands`` counting as its four blocks."""
+    arrays = []
+    for v in values:
+        if isinstance(v, Subbands):
+            arrays += [v.ca, v.chd, v.cvd, v.cdd]
+        elif isinstance(v, np.ndarray):
+            arrays.append(v)
+    return arrays
 
 
 @pytest.mark.parametrize("name", CALLER_INPUT_CASES)
@@ -510,6 +523,7 @@ def test_results_never_reuse_caller_memory(name):
     noisy = apply_speckle(clean, spec)
     out = despeckle(noisy, 1.0, cfg)
     band = dwt2(log_domain(noisy), bank_by_name(cfg.wavelet)).cdd
+    haar = bank_by_name("haar")  # no halo: the transforms' windows view their inputs
     fn, *args = {
         "log_domain": (log_domain, noisy),
         "exp_domain": (exp_domain, log_domain(noisy)),
@@ -523,13 +537,15 @@ def test_results_never_reuse_caller_memory(name):
         "mad_sigma": (mad_sigma, band),
         "hard_threshold": (hard_threshold, band, 0.5),
         "soft_threshold": (soft_threshold, band, 0.5),
+        "dwt2": (dwt2, noisy, haar),
+        "idwt2": (idwt2, dwt2(noisy, haar), haar),
     }[name]
-    inputs = [a for a in args if isinstance(a, np.ndarray)]
+    inputs = _arrays(args)
     before = [a.copy() for a in inputs]
     for a in inputs:
         a.flags.writeable = False
     result = fn(*args)
     for a, b in zip(inputs, before):
         assert a.tobytes() == b.tobytes()
-    if isinstance(result, np.ndarray):
-        assert not any(np.shares_memory(result, a) for a in inputs)
+    for r in _arrays([result]):
+        assert not any(np.shares_memory(r, a) for a in inputs)

@@ -47,13 +47,16 @@ def test_no_thread_starts_at_any_size(phantom, tmp_path):
 
 
 # (shape, bank): the row passes of 600x1100 and 1031x515 cut into several
-# strips and their column passes into several row blocks; at 16 KiB strips
-# the 1031x515 db4 blocks are 2 output rows, so each block's 6-row periodic
-# halo reaches past it, and on 2x2, 4x6 and 9x1 the halo wraps past the
-# whole axis.
+# strips and their column passes into several row blocks. At 16 KiB strips
+# the 1031x515 db4 analysis blocks are 2 output rows, so each block's 6-row
+# trailing halo reaches past the next block, and its synthesis blocks are 2
+# input rows, so the 3-row leading halo reaches past the previous block; on
+# 2x2, 4x6 and 9x1 the halo wraps past the whole axis. Haar has no halo, so
+# its 1031x515 windows are views of the arrays they read.
 STRIP_CASES = [
     ((600, 1100), "db2"),
     ((1031, 515), "db4"),
+    ((1031, 515), "haar"),
     ((2, 2), "db4"),
     ((4, 6), "db4"),
     ((9, 1), "db4"),
