@@ -161,14 +161,22 @@ def _sobel_magnitude(arr: np.ndarray) -> np.ndarray:
     return magnitude
 
 
-def nearest_edge_distances(detected: np.ndarray, ideal: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each detected pixel to the nearest ideal pixel,
-    from the feature transform (nearest ideal pixel of every pixel) of the
-    ideal map."""
+def _edge_maps(detected, ideal) -> tuple:
+    """``detected`` and ``ideal`` as boolean edge maps of one 2-D shape."""
     detected = np.asarray(detected, dtype=bool)
     ideal = np.asarray(ideal, dtype=bool)
     if detected.shape != ideal.shape:
         raise ValueError(f"shape mismatch: {detected.shape} vs {ideal.shape}")
+    if detected.ndim != 2:
+        raise ValueError(f"edge maps must be 2-D, got shape {detected.shape}")
+    return detected, ideal
+
+
+def nearest_edge_distances(detected: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each detected pixel to the nearest ideal pixel,
+    from the feature transform (nearest ideal pixel of every pixel) of the
+    ideal map."""
+    detected, ideal = _edge_maps(detected, ideal)
     if not ideal.any():
         raise ValueError("ideal edge map is empty")
     from scipy import ndimage  # deferred, see pipeline.median_filter_homomorphic
@@ -191,10 +199,7 @@ def pratt_fom(detected: np.ndarray, ideal: np.ndarray, alpha: float = 1.0 / 9.0)
     detected pixels; equals 1 exactly when the maps coincide, and 0 when
     nothing is detected.
     """
-    detected = np.asarray(detected, dtype=bool)
-    ideal = np.asarray(ideal, dtype=bool)
-    if detected.shape != ideal.shape:
-        raise ValueError(f"shape mismatch: {detected.shape} vs {ideal.shape}")
+    detected, ideal = _edge_maps(detected, ideal)
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     n_detected = int(detected.sum())

@@ -119,10 +119,12 @@ def _analyse(arr: np.ndarray, cfg: PipelineConfig) -> Subbands:
 def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig) -> np.ndarray:
     """Shrink the detail subbands at ``lam``, reconstruct and leave the log domain."""
     shrink = SHRINKERS[cfg.shrink]
-    thresholded = replace(
-        sub, chd=shrink(sub.chd, lam), cvd=shrink(sub.cvd, lam), cdd=shrink(sub.cdd, lam)
+    # the shrunk details are only idwt2's argument, so they are freed before exp_domain runs
+    log_out = idwt2(
+        replace(sub, chd=shrink(sub.chd, lam), cvd=shrink(sub.cvd, lam), cdd=shrink(sub.cdd, lam)),
+        bank_by_name(cfg.wavelet),
     )
-    out = exp_domain(idwt2(thresholded, bank_by_name(cfg.wavelet)))
+    out = exp_domain(log_out)
     return np.maximum(out, 0.0, out=out)
 
 

@@ -27,25 +27,28 @@ approximation: it computes the same products and adds them in the same
 tap order as the direct periodic convolution, so coefficients round
 identically.
 
-Every pass runs block by block, and :func:`_window` owns the periodic
-boundary: it hands a block its samples plus the halo its taps reach, a
+Each transform is one loop over blocks of half-size rows, so it
+allocates its output and two block buffers but no full-height
+intermediate. Analysis filters the rows of a block's input window (its
+rows plus the ``taps - 2`` rows after them) into the buffers, then their
+columns into the block's rows of ``ca``/``chd``/``cvd``/``cdd``; the
+next block filters the shared halo rows again. Synthesis filters the
+columns of the block's rows of the four blocks (plus the
+``taps // 2 - 1`` rows before them) into the buffers, then their rows
+into the block's rows of the output. :func:`_window` owns the periodic
+boundary: it hands a pass its samples plus the halo its taps reach, a
 view when they lie inside the array and a wrapped copy otherwise (also
-on axes shorter than the halo). Analysis windows carry the ``taps - 2``
-samples after the block, synthesis windows the ``taps // 2 - 1`` samples
-before it. Axis-1 passes run in cache-sized strips of rows (see
-``_strips``); axis-0 passes run in blocks of a quarter strip of rows, so
-a block's input, products and outputs stay in cache across all taps
-where a whole-array pass streams 8-16 MiB arrays through memory once per
-tap (at 2048x2048 db4, one analysis half pass measured about 21-24 ms in
-blocks against 25-32 ms whole). Each block writes a disjoint part of a
+on axes shorter than the halo). A block is an eighth of a cache-sized
+strip (see ``_strips``), so its input, products and outputs stay in
+cache across all taps where a whole-array pass streams 8-16 MiB arrays
+through memory once per tap. Each block writes a disjoint part of a
 preallocated output with the same operations in the same order, so
 results do not depend on the block size.
 
 :func:`_diagonal_detail` is the analysis restricted to the diagonal
-block ``cdd``, the only one the universal-threshold seed reads: the
-highpass row pass, then the highpass column pass on it. It runs the
-same passes as :func:`dwt2` with the lowpass outputs skipped, so its
-output equals ``dwt2(x, bank).cdd`` bit for bit at about half the cost.
+block ``cdd``, the only one the universal-threshold seed reads: the same
+loop with the lowpass outputs skipped, so its output equals
+``dwt2(x, bank).cdd`` bit for bit at about half the cost.
 """
 
 import math
@@ -169,30 +172,6 @@ def _analyze_axis(
                 acc += buf
 
 
-def _analyze_rows(
-    x: np.ndarray, h: np.ndarray, g: np.ndarray, lo: np.ndarray | None, hi: np.ndarray
-) -> None:
-    """Axis-1 pass (each row filtered), in strips of rows."""
-    stop = x.shape[1] + h.size - 2
-    for s in _bounds(x.shape[0], x[0].nbytes):
-        _analyze_axis(_window(x[s], 1, 0, stop), h, g, 1, None if lo is None else lo[s], hi[s])
-
-
-def _analyze_columns(
-    x: np.ndarray, h: np.ndarray, g: np.ndarray, lo: np.ndarray | None, hi: np.ndarray
-) -> None:
-    """Axis-0 pass (each column filtered), in blocks of output rows.
-
-    Output rows ``start:stop`` read input rows ``2 * start`` to
-    ``2 * stop + taps - 3``. Per output row a block holds two input rows,
-    a product row and up to two output rows, so blocks of a quarter strip
-    of output rows keep that working set near one strip (at 2048x2048,
-    the fastest of the block sizes tried)."""
-    for s in _bounds(hi.shape[0], 4 * hi[0].nbytes):
-        w = _window(x, 0, 2 * s.start, 2 * s.stop + h.size - 2)
-        _analyze_axis(w, h, g, 0, None if lo is None else lo[s], hi[s])
-
-
 def _synthesize_axis(
     lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, out: np.ndarray
 ) -> None:
@@ -211,28 +190,6 @@ def _synthesize_axis(
         out[_along(axis, slice(k % 2, None, 2))] += term[_along(axis, slice(shift, shift + half))]
 
 
-def _synthesize_rows(
-    lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, out: np.ndarray
-) -> None:
-    """Axis-1 synthesis (each row), in strips of output rows."""
-    halo = h.size // 2 - 1
-    for s in _bounds(out.shape[0], out[0].nbytes):
-        windows = (_window(band[s], 1, -halo, band.shape[1]) for band in (lo, hi))
-        _synthesize_axis(*windows, h, g, 1, out[s])
-
-
-def _synthesize_columns(
-    lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, out: np.ndarray
-) -> None:
-    """Axis-0 synthesis (each column), in blocks of input rows: the
-    quarter-strip blocks of :func:`_analyze_columns`, read with the
-    ``taps // 2 - 1`` rows before them."""
-    halo = h.size // 2 - 1
-    for s in _bounds(lo.shape[0], 4 * lo[0].nbytes):
-        windows = (_window(band, 0, s.start - halo, s.stop) for band in (lo, hi))
-        _synthesize_axis(*windows, h, g, 0, out[2 * s.start : 2 * s.stop])
-
-
 def _even(x: np.ndarray) -> np.ndarray:
     """``x`` padded by edge replication to even dimensions."""
     rows, cols = x.shape
@@ -241,42 +198,81 @@ def _even(x: np.ndarray) -> np.ndarray:
     return x
 
 
+# Blocks of half-size rows hold an eighth of a strip each (see the module
+# docstring): at 2048x2048 db4 on a shared 2-CPU machine, dwt2 took a
+# median 119 ms against 140 ms with quarter-strip and 137 ms with
+# sixteenth-strip blocks, and idwt2 123 ms against 135 and 124 ms.
+_BLOCKS_PER_STRIP = 8
+
+
+def _analyze(x: np.ndarray, bank: FilterBank, lowpass: bool) -> tuple:
+    """Blocks ``(ca, chd, cvd, cdd)`` of an even-sized image, where
+    half-size rows ``s`` read input rows ``2 * s.start`` to
+    ``2 * s.stop + taps - 3``. With ``lowpass`` False the lowpass outputs
+    are skipped: only ``cdd`` is computed, and the others are None."""
+    h, g = bank.lowpass, bank.highpass
+    half_rows, half_cols = x.shape[0] // 2, x.shape[1] // 2
+    blocks = _bounds(half_rows, _BLOCKS_PER_STRIP * x[0].nbytes // 2)
+    span = 2 * max(s.stop - s.start for s in blocks) + h.size - 2
+    # Here and in idwt2 the buffers come before the outputs and serve every
+    # block: allocated per block after the outputs, they raised the minor
+    # page faults of a 256x256 calibrate call from 576 to 5438.
+    lo = np.empty((span, half_cols)) if lowpass else None
+    hi = np.empty((span, half_cols))
+    cdd = np.empty((half_rows, half_cols))
+    ca, chd, cvd = (np.empty((half_rows, half_cols)) if lowpass else None for _ in range(3))
+    cols = x.shape[1] + h.size - 2
+    for s in blocks:
+        r0, rows = 2 * s.start, 2 * (s.stop - s.start) + h.size - 2
+        # Rows past the last one wrap to the first. Filtering them apart
+        # keeps the wrapped copy halo-sized: a whole-block copy, copied again
+        # for the column halo, made repeated 256x256 db4 dwt2 calls fault
+        # 233 pages each and run about 35% slower.
+        inside = min(rows, x.shape[0] - r0)
+        for a, b in ((0, inside), (inside, rows)):
+            if a < b:
+                w = _window(_window(x, 0, r0 + a, r0 + b), 1, 0, cols)
+                _analyze_axis(w, h, g, 1, lo if lo is None else lo[a:b], hi[a:b])
+        if lowpass:
+            _analyze_axis(lo[:rows], h, g, 0, ca[s], chd[s])
+            _analyze_axis(hi[:rows], h, g, 0, cvd[s], cdd[s])
+        else:
+            _analyze_axis(hi[:rows], h, g, 0, None, cdd[s])
+    return ca, chd, cvd, cdd
+
+
 def dwt2(img, bank: FilterBank) -> Subbands:
     """One separable analysis level with periodic extension; odd sizes are
     padded by edge replication."""
     x = as_image(img)
-    shape = x.shape
-    x = _even(x)
-    h, g = bank.lowpass, bank.highpass
-    lo, hi = (np.empty((x.shape[0], x.shape[1] // 2)) for _ in range(2))
-    _analyze_rows(x, h, g, lo, hi)
-    ca, chd, cvd, cdd = (np.empty((x.shape[0] // 2, x.shape[1] // 2)) for _ in range(4))
-    _analyze_columns(lo, h, g, ca, chd)
-    _analyze_columns(hi, h, g, cvd, cdd)
-    return Subbands(ca=ca, chd=chd, cvd=cvd, cdd=cdd, shape=shape)
+    ca, chd, cvd, cdd = _analyze(_even(x), bank, lowpass=True)
+    return Subbands(ca=ca, chd=chd, cvd=cvd, cdd=cdd, shape=x.shape)
 
 
 def _diagonal_detail(x: np.ndarray, bank: FilterBank) -> np.ndarray:
     """``dwt2(x, bank).cdd`` of a validated image, without the other three
-    blocks: the highpass row pass, then the highpass column pass on it."""
-    x = _even(x)
-    h, g = bank.lowpass, bank.highpass
-    hi = np.empty((x.shape[0], x.shape[1] // 2))
-    _analyze_rows(x, h, g, None, hi)
-    cdd = np.empty((x.shape[0] // 2, x.shape[1] // 2))
-    _analyze_columns(hi, h, g, None, cdd)
-    return cdd
+    blocks."""
+    return _analyze(_even(x), bank, lowpass=False)[3]
 
 
 def idwt2(sub: Subbands, bank: FilterBank) -> np.ndarray:
-    """Exact synthesis inverse of :func:`dwt2` (columns, then rows), cropped
-    back to the pre-pad shape."""
+    """Exact synthesis inverse of :func:`dwt2`, cropped back to the pre-pad
+    shape. Half-size rows ``s`` of the blocks, read with the
+    ``taps // 2 - 1`` rows before them, make output rows ``2 * s.start``
+    to ``2 * s.stop - 1``."""
     h, g = bank.lowpass, bank.highpass
     half_rows, half_cols = sub.ca.shape
-    lo, hi = (np.empty((2 * half_rows, half_cols)) for _ in range(2))
-    _synthesize_columns(sub.ca, sub.chd, h, g, lo)
-    _synthesize_columns(sub.cvd, sub.cdd, h, g, hi)
+    halo = h.size // 2 - 1
+    blocks = _bounds(half_rows, _BLOCKS_PER_STRIP * sub.ca[0].nbytes)
+    span = 2 * max(s.stop - s.start for s in blocks)
+    lo, hi = np.empty((span, half_cols)), np.empty((span, half_cols))
     full = np.empty((2 * half_rows, 2 * half_cols))
-    _synthesize_rows(lo, hi, h, g, full)
+    for s in blocks:
+        rows = 2 * (s.stop - s.start)
+        for pair, out in (((sub.ca, sub.chd), lo), ((sub.cvd, sub.cdd), hi)):
+            windows = (_window(band, 0, s.start - halo, s.stop) for band in pair)
+            _synthesize_axis(*windows, h, g, 0, out[:rows])
+        windows = (_window(band[:rows], 1, -halo, half_cols) for band in (lo, hi))
+        _synthesize_axis(*windows, h, g, 1, full[2 * s.start : 2 * s.stop])
     rows, cols = sub.shape
     return full[:rows, :cols]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -204,6 +206,17 @@ def test_fom_empty_maps_raise():
     detected[0, 0] = True
     with pytest.raises(ValueError):
         pratt_fom(detected, empty)
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 4, 4)], ids=["1-D", "3-D"])
+def test_edge_maps_must_be_2d(shape):
+    # a 3-D pair read with its last axis as columns gave 7.62 for the true
+    # distance sqrt(19) = 4.36, and a 1-D pair raised IndexError
+    detected, ideal = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    detected.flat[-1] = ideal.flat[0] = True
+    for figure in (nearest_edge_distances, pratt_fom):
+        with pytest.raises(ValueError, match=re.escape(f"2-D, got shape {shape}")):
+            figure(detected, ideal)
 
 
 def test_fom_bounded_by_one():

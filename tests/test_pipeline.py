@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from despeckle.pipeline import (
 from despeckle.speckle import SpeckleSpec, apply_speckle
 from despeckle.thresholding import hard_threshold, mad_sigma, soft_threshold, universal_threshold
 from despeckle.wavelet import Subbands, bank_by_name, dwt2, idwt2
+
+from conftest import make_phantom
 
 
 # ---------------------------------------------------------------- despeckle
@@ -382,6 +385,30 @@ def test_despeckle_deterministic():
     rng = np.random.default_rng(38)
     img = rng.uniform(0, 255, size=(16, 16))
     assert_array_equal(despeckle(img, 1.5), despeckle(img, 1.5))
+
+
+# Peak memory allocated during a call at 1024^2 db4 soft, above its input,
+# in images of the input's size. despeckle peaks in idwt2, with the analysis
+# blocks, the shrunk details and the output alive besides the block buffers
+# (3.13 measured); the seed holds the log image and its diagonal block (1.42).
+@pytest.mark.parametrize(
+    "stage, images",
+    [
+        (lambda noisy, cfg: despeckle(noisy, 3.06, cfg), 3.25),
+        (lambda noisy, cfg: initial_threshold(noisy, cfg), 1.6),
+    ],
+    ids=["despeckle", "initial_threshold"],
+)
+def test_working_set_is_bounded(stage, images):
+    noisy = apply_speckle(make_phantom(1024), SpeckleSpec(kind="gamma", looks=3, seed=0))
+    cfg = PipelineConfig(wavelet="db4", shrink="soft")
+    tracemalloc.start()
+    try:
+        stage(noisy, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / noisy.nbytes <= images
 
 
 # ---------------------------------------------------------------- baselines

@@ -46,13 +46,13 @@ def test_no_thread_starts_at_any_size(phantom, tmp_path):
     assert threading.active_count() == before
 
 
-# (shape, bank): the row passes of 600x1100 and 1031x515 cut into several
-# strips and their column passes into several row blocks. At 16 KiB strips
-# the 1031x515 db4 analysis blocks are 2 output rows, so each block's 6-row
-# trailing halo reaches past the next block, and its synthesis blocks are 2
-# input rows, so the 3-row leading halo reaches past the previous block; on
-# 2x2, 4x6 and 9x1 the halo wraps past the whole axis. Haar has no halo, so
-# its 1031x515 windows are views of the arrays they read.
+# (shape, bank): the transforms of 600x1100 and 1031x515 cut into several
+# blocks of half-size rows, and their edge maps into several strips. At
+# 16 KiB strips the 1031x515 db4 blocks are 1 half-size row, so each
+# analysis block's 6-row trailing halo spans the next three blocks and each
+# synthesis block's 3-row leading halo the previous three; on 2x2, 4x6 and
+# 9x1 the halo wraps past the whole axis. Haar has no halo, so its
+# 1031x515 windows are views of the arrays they read.
 STRIP_CASES = [
     ((600, 1100), "db2"),
     ((1031, 515), "db4"),
