@@ -93,6 +93,7 @@ def cmd_calibrate(args) -> int:
             "lambda_star": result.lambda_star,
             "iterations": result.iterations,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
         }
     )
     return 0

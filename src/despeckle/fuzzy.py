@@ -17,6 +17,7 @@ previous iteration's value.
 """
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,12 @@ def scalarize(error_image) -> ScalarError:
 
 
 def fuzzify(u: float) -> dict:
-    """Grades of all five labels at ``u``, clamped into [-1, 1]."""
-    u = min(1.0, max(-1.0, float(u)))
+    """Grades of all five labels at ``u``, clamped into [-1, 1] (so +-inf
+    grade as +-1); NaN is rejected."""
+    u = float(u)
+    if math.isnan(u):
+        raise ValueError("membership input must be a number, got nan")
+    u = min(1.0, max(-1.0, u))
     return {
         label: max(0.0, 1.0 - abs(u - center) / _HALF_WIDTH)
         for label, center in LABEL_CENTERS.items()
@@ -97,7 +102,7 @@ def infer(e_grades: dict, de_grades: dict) -> float:
 
 def control_step(e: float, de: float) -> float:
     """Normalized controller output in [-1, 1] for a normalized error
-    ``e`` and change in error ``de``."""
+    ``e`` and change in error ``de``; either input NaN is a ValueError."""
     return infer(fuzzify(e), fuzzify(de))
 
 

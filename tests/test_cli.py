@@ -65,6 +65,8 @@ def test_calibrate_reports_result_and_trace(clean_pgm, tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["lambda_star"] > 0
     assert isinstance(payload["converged"], bool)
+    assert payload["stop_reason"] in ("converged", "stalled", "max_iter")
+    assert payload["converged"] == (payload["stop_reason"] == "converged")
     assert 1 <= payload["iterations"] <= 8
     lines = trace.read_text().strip().split("\n")
     assert lines[0] == "iter,e,de,dlambda,lambda,me"
@@ -76,6 +78,7 @@ def test_calibrate_vacuous_epsilon(clean_pgm):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["converged"] is True and payload["iterations"] == 1
+    assert payload["stop_reason"] == "converged"
 
 
 def test_calibrate_too_small_image_fails(tmp_path):

@@ -41,6 +41,18 @@ def test_membership_partition_bounds():
 def test_fuzzify_clamps():
     assert fuzzify(1.7) == fuzzify(1.0)
     assert fuzzify(-5.0)["NB"] == 1.0
+    assert fuzzify(float("inf")) == fuzzify(1.0)
+    assert fuzzify(float("-inf")) == fuzzify(-1.0)
+
+
+def test_nan_is_rejected():
+    # NaN fails every comparison, so clamping would grade it as full-scale NB
+    nan = float("nan")
+    with pytest.raises(ValueError, match="nan"):
+        fuzzify(nan)
+    for e, de in ((nan, 0.0), (0.0, nan), (np.float64(nan), 0.5)):
+        with pytest.raises(ValueError, match="nan"):
+            control_step(e, de)
 
 
 def test_fuzzify_examples():

@@ -237,9 +237,13 @@ def test_calibrate_zero_seed_steps_at_unit_gain():
     clean[8:24, 8:24] = 200.0
     result = calibrate(clean, SpeckleSpec(seed=1))
     assert result.trace[0].lam == 0.0
-    assert [step.dlambda for step in result.trace[:2]] == [-1.0, -0.5]
+    # the overshoot raises the threshold by one full unit step; the controller's
+    # zero output then leaves it in place, so the loop stalls
+    assert [step.dlambda for step in result.trace] == [1.0, -0.0]
+    assert [step.lam for step in result.trace] == [0.0, 1.0]
+    assert result.stop_reason == "stalled"
     for step in result.trace:
-        assert step.dlambda == control_step(step.e * (1.0 / 200.0), step.de * (1.0 / 200.0))
+        assert step.dlambda == -control_step(step.e * (1.0 / 200.0), step.de * (1.0 / 200.0))
 
 
 def test_calibrate_deterministic():
@@ -268,6 +272,59 @@ def test_calibrate_rejects_bad_arguments():
         calibrate(np.zeros((8, 8)), SpeckleSpec(seed=0))
 
 
+@pytest.mark.parametrize(
+    "name,value",
+    [("max_iter", 2.5), ("max_iter", 3.0), ("max_iter", True), ("max_iter", "3"), ("epsilon", True)],
+)
+def test_calibrate_rejects_bool_and_non_integer_arguments(name, value):
+    with pytest.raises(ValueError, match=name):
+        calibrate(_small_phantom(), SpeckleSpec(seed=0), **{name: value})
+
+
+def test_calibrate_accepts_numpy_integer_max_iter():
+    result = calibrate(_small_phantom(), SpeckleSpec(seed=0), max_iter=np.int64(1))
+    assert result.iterations == 1
+
+
+def test_calibrate_stop_reason_decides_converged():
+    clean, spec = _small_phantom(), SpeckleSpec(kind="gamma", looks=3, seed=3)
+    soft = PipelineConfig(shrink="soft")
+    capped = calibrate(clean, spec, soft, max_iter=4)
+    assert capped.stop_reason == "max_iter" and capped.iterations == 4
+    assert not capped.converged
+    assert calibrate(clean, spec, epsilon=1e9).stop_reason == "converged"
+    stalled = calibrate(clean, spec)
+    assert stalled.stop_reason == "stalled" and not stalled.converged
+    # a loop whose next step could not change the output stalled, even at the cap
+    assert calibrate(clean, spec, max_iter=stalled.iterations) == stalled
+
+
+# the 36-input grid: two bank/shrink pairs x three speckle kinds x seeds 0-5
+CALIBRATION_GRID = [
+    (PipelineConfig(wavelet=wavelet, shrink=shrink), SpeckleSpec(kind=kind, looks=looks, seed=seed))
+    for wavelet, shrink in (("haar", "hard"), ("db4", "soft"))
+    for kind, looks in (("gamma", 3), ("rayleigh", 1), ("exponential", 1))
+    for seed in range(6)
+]
+
+
+def test_calibrate_grid_stops_early_and_never_raises_mse():
+    clean = make_phantom(256)
+    moved = 0
+    for cfg, spec in CALIBRATION_GRID:
+        result = calibrate(clean, spec, cfg)
+        label = (cfg, spec, result.stop_reason, result.iterations)
+        assert result.stop_reason in ("converged", "stalled"), label
+        assert result.iterations <= 15, label
+        lam0 = result.trace[0].lam
+        if result.lambda_star != lam0:
+            moved += 1
+            noisy = apply_speckle(clean, spec)
+            mse_star = msd(clean, despeckle(noisy, result.lambda_star, cfg))
+            assert mse_star <= msd(clean, despeckle(noisy, lam0, cfg)), label
+    assert moved >= 1
+
+
 def test_trace_csv_round_trip():
     result = calibrate(
         _small_phantom(), SpeckleSpec(kind="gamma", looks=3, seed=10), max_iter=5
@@ -282,41 +339,64 @@ def test_trace_csv_round_trip():
     assert float(rows[0][4]) == result.trace[0].lam
 
 
+def _detail_magnitudes(noisy, cfg):
+    """|d| over the three detail blocks of the log image, computed apart from calibrate."""
+    sub = dwt2(log_domain(noisy), bank_by_name(cfg.wavelet))
+    return np.abs(np.concatenate([sub.chd.ravel(), sub.cvd.ravel(), sub.cdd.ravel()]))
+
+
 def _reference_calibrate(clean, spec, cfg, max_iter=100):
     """Reference loop: the whole chain through despeckle on every
-    iteration, with calibrate's gains and default epsilon, and its own
-    bookkeeping of the previous error, the best threshold and convergence."""
+    iteration, with calibrate's gains, default epsilon, negated controller
+    output and clamp to [0, max|d|], and its own bookkeeping of the previous
+    error, the best threshold, the stop reason and which outputs were
+    evaluated (under hard shrinkage, the mask of surviving coefficients)."""
     peak = float(np.abs(clean).max())
     noisy = apply_speckle(clean, spec)
     lam0 = initial_threshold(noisy, cfg).lam
+    mags = _detail_magnitudes(noisy, cfg)
+    top = float(mags.max())
+
+    def output_key(lam):
+        return (mags > lam).tobytes() if cfg.shrink == "hard" else lam
+
     scale = 1.0 / peak
     step = 0.1 * lam0 if lam0 > 0 else 1.0
     lam, eh, best_lam, best_me = lam0, 0.0, lam0, float("inf")
     trace = []
-    converged = False
+    evaluated = []
+    stop_reason = "max_iter"
     for _ in range(max_iter):
+        evaluated.append(output_key(lam))
         e = scalarize(subtract(clean, despeckle(noisy, lam, cfg))).e
         de = e - eh
-        dlam = step * control_step(e * scale, de * scale)
+        dlam = -(step * control_step(e * scale, de * scale))
         me = abs(e)
         trace.append(TraceStep(e, de, dlam, lam))
         if me < best_me:
             best_me, best_lam = me, lam
         eh = e
         if me <= 0.02 * peak:
-            converged = True
+            stop_reason = "converged"
             break
-        lam = max(lam + dlam, 0.0)
-    return CalibrationResult(best_lam, converged, tuple(trace))
+        next_lam = min(max(lam + dlam, 0.0), top)
+        if next_lam == lam or output_key(next_lam) in evaluated:
+            stop_reason = "stalled"
+            break
+        lam = next_lam
+    return CalibrationResult(best_lam, stop_reason, tuple(trace))
 
 
-# (speckle kind, seed, shrink, wavelet, whether lambda clamps to 0 on the 64^2 phantom)
+# (speckle kind, seed, shrink, wavelet, whether lambda touches 0 or max|d| on
+# the 64^2 phantom)
 CALIBRATION_CASES = [
     ("gamma", 1, "hard", "haar", True),
     ("gamma", 2, "hard", "haar", False),
-    ("rayleigh", 4, "hard", "haar", True),
+    ("rayleigh", 4, "hard", "haar", False),
     ("rayleigh", 5, "soft", "db2", True),
     ("exponential", 1, "soft", "db4", True),
+    # soft thresholds that never repeat: the loop runs to max_iter
+    ("gamma", 3, "soft", "haar", False),
 ]
 
 
@@ -327,7 +407,8 @@ def test_calibrate_matches_reference_loop(kind, seed, shrink, wavelet, clamps):
     cfg = PipelineConfig(wavelet=wavelet, shrink=shrink)
     result = calibrate(clean, spec, cfg)
     expected = _reference_calibrate(clean, spec, cfg)
-    assert (0.0 in {step.lam for step in result.trace}) == clamps
+    top = float(_detail_magnitudes(apply_speckle(clean, spec), cfg).max())
+    assert any(step.lam in (0.0, top) for step in result.trace) == clamps
     assert trace_to_csv(result.trace) == trace_to_csv(expected.trace)
     assert result == expected
 
@@ -348,9 +429,17 @@ def test_calibrate_analyses_once_and_synthesises_each_lambda_once(
     monkeypatch.setattr(pipeline_mod, "dwt2", counted("dwt2", pipeline_mod.dwt2))
     monkeypatch.setattr(pipeline_mod, "idwt2", counted("idwt2", pipeline_mod.idwt2))
     cfg = PipelineConfig(wavelet=wavelet, shrink=shrink)
-    result = calibrate(_small_phantom(), SpeckleSpec(kind=kind, seed=seed), cfg)
+    spec = SpeckleSpec(kind=kind, seed=seed)
+    result = calibrate(_small_phantom(), spec, cfg)
     assert calls["dwt2"] == 1
-    assert calls["idwt2"] == len({step.lam for step in result.trace})
+    # one synthesis per trace step, and no threshold is evaluated twice
+    assert calls["idwt2"] == result.iterations == len({step.lam for step in result.trace})
+    if shrink == "hard":
+        # thresholds with the same survivor count give the same output, so
+        # no survivor count is synthesised twice either
+        mags = _detail_magnitudes(apply_speckle(_small_phantom(), spec), cfg)
+        counts = {int(np.count_nonzero(mags > step.lam)) for step in result.trace}
+        assert len(counts) == result.iterations
 
 
 # ---------------------------------------------------------------- despeckle
