@@ -6,7 +6,21 @@ intensity), or gamma with shape L (L-look intensity, variance 1/L).
 
 Sampling is by inverse-CDF transforms of PCG64 uniforms, one spawned
 substream per image row, so a field is a pure function of
-(rows, cols, spec) no matter how rows are produced.
+(rows, cols, spec) no matter how rows are produced. Row r's generator
+state equals ``PCG64(SeedSequence(seed).spawn(rows)[r])``, but
+:func:`_row_states` derives every row's state in one vectorised pass of
+numpy's ``SeedSequence`` mixing (O'Neill's ``seed_seq`` scheme from "PCG:
+A Family of Simple Fast Space-Efficient Statistically Good Algorithms for
+Random Number Generation", 2014) instead of spawning a child and building
+a generator per row. Under NEP 19 (numpy.org/neps/nep-0019-rng-policy.html)
+the ``SeedSequence`` and ``PCG64`` streams are stable, and a tier-1 test
+compares the derived states with numpy's own.
+
+One generator is re-seeded per row and draws straight into the output
+(gamma: into a strip buffer of L draws per pixel); the inverse-CDF
+transform then runs in place once per cache-sized strip of rows, with the
+same elementwise operations in the same order as a per-row transform, so
+every byte matches.
 """
 
 import math
@@ -15,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _strips
 from .image import as_image
 
 __all__ = ["KINDS", "SpeckleSpec", "generate_speckle", "apply_speckle"]
@@ -49,22 +64,105 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _row_states(seed: int, rows: int) -> list:
+    """``(state, inc)`` of ``PCG64(child)`` for each ``child`` of
+    ``SeedSequence(seed).spawn(rows)``, derived for all rows in one pass.
+
+    A child's entropy is the seed's 32-bit words, zero-padded to the
+    4-word pool, then its spawn key r. Hashing the seed words into the
+    pool and cross-mixing it is the same for every row; only the last
+    step, which mixes r into each pool word, differs, so it runs in uint32
+    arithmetic over all r at once. Scalars stay masked Python ints, so no
+    numpy overflow warning fires.
+    """
+    mask = (1 << 32) - 1
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * 0x931E8875) & mask
+        value = (value * hash_const) & mask
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (((0xCA01F9DD * x) & mask) - ((0x4973F715 * y) & mask)) & mask
+        return result ^ (result >> 16)
+
+    pool = [hashmix(w) for w in (seed & mask, seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # the hash constant advances once per pool word, so r is hashed afresh
+    # for each of them
+    r = np.arange(rows, dtype=np.uint32)
+    pool = [mix(word, hashmix(r)) for word in pool]
+
+    # generate_state(4, uint64): eight 32-bit words, paired little-endian
+    hash_const = 0x8B51F9DD
+    halves = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & mask
+        value = value * hash_const
+        halves.append((value ^ (value >> 16)).astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        (halves[i] | (halves[i + 1] << 32)).tolist() for i in range(0, 8, 2)
+    )
+
+    # PCG64's seeding: inc = 2*initseq + 1, then state = inc, add
+    # initstate, and one more LCG step
+    mask128 = (1 << 128) - 1
+    multiplier = 0x2360ED051FC65DA44385DF649FCCF645
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & mask128
+        state = ((inc + ((s_hi << 64) | s_lo)) * multiplier + inc) & mask128
+        states.append((state, inc))
+    return states
+
+
 def generate_speckle(rows: int, cols: int, spec: SpeckleSpec) -> np.ndarray:
     """Mean-one i.i.d. speckle field, deterministic given (rows, cols, spec)."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"field dimensions must be positive, got {rows}x{cols}")
+    for name, value in (("rows", rows), ("cols", cols)):
+        if not _is_integer(value) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    rows, cols = int(rows), int(cols)
     field = np.empty((rows, cols), dtype=np.float64)
-    children = np.random.SeedSequence(spec.seed).spawn(rows)
-    for r, child in enumerate(children):
-        gen = np.random.Generator(np.random.PCG64(child))
+    bitgen = np.random.PCG64()
+    gen = np.random.Generator(bitgen)
+    states = _row_states(spec.seed, rows)
+    gamma = spec.kind == "gamma"
+    looks = spec.looks if gamma else 1
+    strips = _strips._bounds(rows, 8 * looks * cols)
+    # gamma rows draw L uniforms per pixel into a strip buffer; the other
+    # kinds draw straight into the field
+    buf = np.empty((max(s.stop - s.start for s in strips), looks, cols)) if gamma else None
+    for strip in strips:
+        u = buf[: strip.stop - strip.start] if gamma else field[strip]
+        for i, (state, inc) in enumerate(states[strip]):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.random(out=u[i])
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
         if spec.kind == "rayleigh":
-            u = gen.random(cols)
-            field[r] = _RAYLEIGH_SCALE * np.sqrt(-2.0 * np.log1p(-u))
+            np.multiply(u, -2.0, out=u)
+            np.sqrt(u, out=u)
+            np.multiply(u, _RAYLEIGH_SCALE, out=u)
         elif spec.kind == "exponential":
-            field[r] = -np.log1p(-gen.random(cols))
+            np.negative(u, out=u)
         else:  # gamma(L, 1/L) as the mean of L unit exponentials
-            u = gen.random((spec.looks, cols))
-            field[r] = -np.log1p(-u).sum(axis=0) / spec.looks
+            # negating the sum equals summing the negated terms, bit for bit
+            out = field[strip]
+            np.sum(u, axis=1, out=out)
+            np.negative(out, out=out)
+            np.divide(out, looks, out=out)
     return field
 
 

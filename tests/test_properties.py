@@ -11,9 +11,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from despeckle import _strips  # noqa: E402
 from despeckle.image import PgmError, log_domain, read_f64, read_pgm, write_f64, write_pgm  # noqa: E402
 from despeckle.metrics import _sobel_magnitude, detect_edges  # noqa: E402
-from despeckle.speckle import KINDS, SpeckleSpec, generate_speckle  # noqa: E402
+from despeckle.speckle import _RAYLEIGH_SCALE, KINDS, SpeckleSpec, generate_speckle  # noqa: E402
 from despeckle.thresholding import hard_threshold, soft_threshold  # noqa: E402
 from despeckle.wavelet import _diagonal_detail, bank_by_name, dwt2, idwt2  # noqa: E402
 
@@ -89,6 +90,61 @@ def test_speckle_row_is_independent_of_row_count(rows, cols, kind, looks, seed):
     a, b = (generate_speckle(n, cols, spec) for n in rows)
     common = min(rows)
     assert a[:common].tobytes() == b[:common].tobytes()
+
+
+def _per_row_speckle(rows, cols, spec):
+    """The field as one spawned generator per row and one transform per
+    row: the reference that generate_speckle must match byte for byte."""
+    field = np.empty((rows, cols), dtype=np.float64)
+    children = np.random.SeedSequence(spec.seed).spawn(rows)
+    for r, child in enumerate(children):
+        gen = np.random.Generator(np.random.PCG64(child))
+        if spec.kind == "rayleigh":
+            u = gen.random(cols)
+            field[r] = _RAYLEIGH_SCALE * np.sqrt(-2.0 * np.log1p(-u))
+        elif spec.kind == "exponential":
+            field[r] = -np.log1p(-gen.random(cols))
+        else:
+            u = gen.random((spec.looks, cols))
+            field[r] = -np.log1p(-u).sum(axis=0) / spec.looks
+    return field
+
+
+@settings(deadline=2000)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    kind=st.sampled_from(KINDS),
+    looks=st.integers(1, 20),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_speckle_equals_per_row_oracle(rows, cols, kind, looks, seed):
+    spec = SpeckleSpec(kind=kind, looks=looks, seed=seed)
+    expected = _per_row_speckle(rows, cols, spec).tobytes()
+    assert generate_speckle(rows, cols, spec).tobytes() == expected
+
+
+# Strips far below the default size: three 7-column rows per strip cut 10
+# rows into strips of 3, 3 and 4 (the first two fill only part of the
+# gamma buffer), and a 7-column gamma-20 row is larger than a whole strip.
+@pytest.mark.parametrize(
+    "kind, looks, strip_bytes, rows, strips",
+    [
+        ("gamma", 3, 3 * 8 * 3 * 7, 10, [3, 3, 4]),
+        ("gamma", 20, 64, 5, [1] * 5),
+        ("rayleigh", 3, 3 * 8 * 7, 10, [3, 3, 4]),
+        ("exponential", 3, 3 * 8 * 7, 10, [3, 3, 4]),
+    ],
+    ids=["gamma-uneven-strips", "gamma-row-over-strip", "rayleigh", "exponential"],
+)
+def test_speckle_strips_equal_per_row_oracle(monkeypatch, kind, looks, strip_bytes, rows, strips):
+    monkeypatch.setattr(_strips, "_STRIP_BYTES", strip_bytes)
+    line_bytes = 8 * (looks if kind == "gamma" else 1) * 7
+    assert [b.stop - b.start for b in _strips._bounds(rows, line_bytes)] == strips
+    for seed in (0, 2**64 - 1):
+        spec = SpeckleSpec(kind=kind, looks=looks, seed=seed)
+        expected = _per_row_speckle(rows, 7, spec).tobytes()
+        assert generate_speckle(rows, 7, spec).tobytes() == expected
 
 
 @settings(deadline=2000)

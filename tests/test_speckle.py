@@ -1,11 +1,13 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from despeckle.metrics import enl_blocked
-from despeckle.speckle import SpeckleSpec, apply_speckle, generate_speckle
+from despeckle.speckle import SpeckleSpec, _row_states, apply_speckle, generate_speckle
 
 
 @pytest.mark.parametrize(
@@ -88,8 +90,23 @@ def test_spec_validation():
         SpeckleSpec(looks=0)
     with pytest.raises(ValueError):
         SpeckleSpec(seed=-1)
-    with pytest.raises(ValueError):
-        generate_speckle(0, 4, SpeckleSpec())
+    for rows, cols, name, value in [
+        (0, 4, "rows", 0),
+        (4, -1, "cols", -1),
+        (2.5, 3, "rows", 2.5),
+        (True, 3, "rows", True),
+        ("3", 3, "rows", "3"),
+        (3, 4.0, "cols", 4.0),
+        (3, False, "cols", False),
+        (3, None, "cols", None),
+    ]:
+        message = f"{name} must be a positive integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_speckle(rows, cols, SpeckleSpec())
+    assert_array_equal(
+        generate_speckle(np.int64(2), np.uint16(3), SpeckleSpec()),
+        generate_speckle(2, 3, SpeckleSpec()),
+    )
 
 
 def test_spec_accepts_numpy_integers_and_rejects_bool():
@@ -108,3 +125,29 @@ def test_spec_accepts_numpy_integers_and_rejects_bool():
         SpeckleSpec(looks=True)
     with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer, got True"):
         SpeckleSpec(seed=True)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("rows", [1, 2, 300])
+def test_row_states_equal_numpy_spawned_pcg64(seed, rows):
+    # the one-pass derivation must track numpy's own SeedSequence mixing
+    # and PCG64 seeding; if either ever changes, the fields would drift
+    expected = [
+        np.random.PCG64(child).state["state"]
+        for child in np.random.SeedSequence(seed).spawn(rows)
+    ]
+    assert _row_states(seed, rows) == [(s["state"], s["inc"]) for s in expected]
+
+
+# Peak memory allocated while generating a 2048^2 field, above the field
+# itself: one strip buffer of about 1 MiB plus the per-row states, never a
+# multiple of the image (1.5-2.1 MiB measured).
+@pytest.mark.parametrize("looks", [3, 20])
+def test_speckle_working_set_is_bounded(looks):
+    tracemalloc.start()
+    try:
+        field = generate_speckle(2048, 2048, SpeckleSpec(kind="gamma", looks=looks, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - field.nbytes) / 2**20 <= 2.5
