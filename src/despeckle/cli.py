@@ -53,7 +53,8 @@ def _read_image(path: str) -> np.ndarray:
 
 
 def _write_image(path: str, img: np.ndarray) -> None:
-    maxval = 255 if np.rint(np.clip(img, 0, None)).max(initial=0.0) <= 255 else 65535
+    # rint(clip(img, 0)).max() <= 255, since both are monotone; rint(255.5) is 256
+    maxval = 255 if img.max() < 255.5 else 65535
     Path(path).write_bytes(write_pgm(img, maxval))
 
 

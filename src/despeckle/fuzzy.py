@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import as_image
+from .image import _is_integer, as_image
 
 __all__ = [
-    "LABELS",
     "LABEL_CENTERS",
     "RULES",
     "ScalarError",
@@ -38,11 +37,10 @@ __all__ = [
 ]
 
 LABEL_CENTERS = {"NB": -1.0, "NS": -0.5, "AZ": 0.0, "PS": 0.5, "PB": 1.0}
-LABELS = tuple(LABEL_CENTERS)
 _HALF_WIDTH = 0.5
 
 # Output label of each rule: rows are the change-in-error label, columns the
-# error label, both in LABELS order. Negating both inputs negates the output.
+# error label, both in LABEL_CENTERS order. Negating both inputs negates the output.
 RULES = (
     ("NB", "NS", "NS", "AZ", "AZ"),
     ("NB", "NS", "AZ", "AZ", "PS"),
@@ -87,14 +85,9 @@ def infer(e_grades: dict, de_grades: dict) -> float:
     """Min-AND rule firing with center-average defuzzification, in [-1, 1]."""
     numerator = 0.0
     total = 0.0
-    for de_label, row in zip(LABELS, RULES):
-        de_grade = de_grades[de_label]
-        if de_grade == 0.0:
-            continue
-        for e_label, out_label in zip(LABELS, row):
-            weight = min(e_grades[e_label], de_grade)
-            if weight == 0.0:
-                continue
+    for de_label, row in zip(LABEL_CENTERS, RULES):
+        for e_label, out_label in zip(LABEL_CENTERS, row):
+            weight = min(e_grades[e_label], de_grades[de_label])
             numerator += weight * LABEL_CENTERS[out_label]
             total += weight
     return numerator / total if total > 0.0 else 0.0
@@ -113,15 +106,10 @@ def output_surface(grid_n: int) -> np.ndarray:
     error ``u[j]`` for ``u = linspace(-1, 1, grid_n)``, mirroring the rule
     table layout.
     """
-    if grid_n < 2:
+    if not _is_integer(grid_n) or grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    u = np.linspace(-1.0, 1.0, grid_n)
-    surface = np.empty((grid_n, grid_n), dtype=np.float64)
-    for i, de in enumerate(u):
-        de_grades = fuzzify(de)
-        for j, e in enumerate(u):
-            surface[i, j] = infer(fuzzify(e), de_grades)
-    return surface
+    grades = [fuzzify(u) for u in np.linspace(-1.0, 1.0, grid_n)]
+    return np.array([[infer(e, de) for e in grades] for de in grades])
 
 
 def surface_to_csv(surface: np.ndarray) -> str:

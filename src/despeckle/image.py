@@ -17,6 +17,9 @@ domain: 1 is added before the logarithm so zero-valued pixels stay
 finite, and subtracted again after exponentiation.
 """
 
+import numbers
+import re
+
 import numpy as np
 
 __all__ = [
@@ -32,6 +35,9 @@ __all__ = [
 ]
 
 _WHITESPACE = b" \t\r\n"
+# A header token after any whitespace and '#' comments (a comment runs to
+# the end of its line); the token is empty only at the end of the data.
+_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\r\n]*)*([^ \t\r\n#]*)")
 
 
 class PgmError(ValueError):
@@ -48,24 +54,8 @@ def as_image(a) -> np.ndarray:
     return arr
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # Skips whitespace and '#' comments (comment runs to end of line).
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#'
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PgmError(f"unexpected end of header at byte {pos}")
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != 0x23:
-        pos += 1
-    return data[start:pos], pos
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _payload(data: bytes, start: int, need: int) -> bytes:
@@ -95,7 +85,10 @@ def read_pgm(data: bytes) -> np.ndarray:
     pos = 2
     values = []
     for name in ("width", "height", "maxval"):
-        token, pos = _next_token(data, pos)
+        match = _TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:
+            raise PgmError(f"unexpected end of header at byte {pos}")
         if not token.isdigit():  # ASCII decimal only, not int()'s signs and underscores
             raise PgmError(f"invalid {name} {token!r} at byte {pos - len(token)}")
         value = int(token)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._strips import _bounds
-from .image import as_image, subtract
+from .image import _is_integer, as_image, subtract
 
 __all__ = [
     "MetricsReport",
@@ -99,7 +99,7 @@ def enl_blocked(img, block: int = 25) -> float:
     if every tile is constant.
     """
     arr = as_image(img)
-    if block < 2:
+    if not _is_integer(block) or block < 2:
         raise ValueError(f"block must be >= 2, got {block}")
     n_r = arr.shape[0] // block
     n_c = arr.shape[1] // block

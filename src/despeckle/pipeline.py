@@ -33,8 +33,8 @@ from operator import attrgetter
 import numpy as np
 
 from .fuzzy import control_step, scalarize
-from .image import as_image, exp_domain, log_domain
-from .speckle import SpeckleSpec, _is_integer, apply_speckle
+from .image import _is_integer, as_image, exp_domain, log_domain
+from .speckle import SpeckleSpec, apply_speckle
 from .thresholding import (
     ThresholdEstimate,
     hard_threshold,
@@ -229,10 +229,9 @@ def calibrate(
             return lam
 
     lam = lam0
-    seen = set()  # keys of the outputs evaluated so far
+    seen = {key(lam0)}  # keys of the outputs evaluated so far
     trace = []
     for _ in range(max_iter):
-        seen.add(key(lam))
         # clean is validated above and exp_domain checks the synthesis
         e = scalarize(clean - _synthesise(sub, lam, cfg)).e
         de = e - (trace[-1].e if trace else 0.0)
@@ -242,9 +241,11 @@ def calibrate(
             stop_reason = "converged"
             break
         lam = min(max(lam + dlam, 0.0), top)
-        if key(lam) in seen:
+        k = key(lam)
+        if k in seen:
             stop_reason = "stalled"
             break
+        seen.add(k)
     else:
         stop_reason = "max_iter"
     # min keeps the first of equal magnitudes: the earliest best threshold
@@ -259,13 +260,13 @@ def despeckle(noisy, lambda_star: float, cfg: PipelineConfig | None = None) -> n
     """One pass of the homomorphic shrinkage chain at threshold
     ``lambda_star``: apply a calibrated threshold open-loop to a new image."""
     cfg = cfg or PipelineConfig()
-    if not 0 <= lambda_star < math.inf:
+    if isinstance(lambda_star, bool) or not 0 <= lambda_star < math.inf:
         raise ValueError(f"threshold must be a non-negative number, got {lambda_star}")
     return _synthesise(_analyse(as_image(noisy), cfg), lambda_star, cfg)
 
 
 def _check_kernel(kernel: int, shape) -> None:
-    if kernel < 3 or kernel % 2 == 0:
+    if not _is_integer(kernel) or kernel < 3 or kernel % 2 == 0:
         raise ValueError(f"kernel must be an odd integer >= 3, got {kernel}")
     if kernel > min(shape):
         raise ValueError(f"kernel {kernel} larger than image {shape}")

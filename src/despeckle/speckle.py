@@ -16,21 +16,21 @@ a generator per row. Under NEP 19 (numpy.org/neps/nep-0019-rng-policy.html)
 the ``SeedSequence`` and ``PCG64`` streams are stable, and a tier-1 test
 compares the derived states with numpy's own.
 
-One generator is re-seeded per row and draws straight into the output
-(gamma: into a strip buffer of L draws per pixel); the inverse-CDF
-transform then runs in place once per cache-sized strip of rows, with the
-same elementwise operations in the same order as a per-row transform, so
-every byte matches.
+One generator is re-seeded per row and draws the row's uniforms, L per
+pixel for gamma and one for the other kinds, into a strip-sized buffer;
+the inverse-CDF transform then runs once per cache-sized strip of rows,
+its last operation writing into the output, with the same elementwise
+operations in the same order as a per-row transform, so every byte
+matches.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _strips
-from .image import as_image
+from .image import _is_integer, as_image
 
 __all__ = ["KINDS", "SpeckleSpec", "generate_speckle", "apply_speckle"]
 
@@ -58,10 +58,6 @@ class SpeckleSpec:
         # numpy integers are stored as Python ints, so reprs and JSON stay plain
         object.__setattr__(self, "looks", int(self.looks))
         object.__setattr__(self, "seed", int(self.seed))
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _row_states(seed: int, rows: int) -> list:
@@ -133,14 +129,21 @@ def generate_speckle(rows: int, cols: int, spec: SpeckleSpec) -> np.ndarray:
     bitgen = np.random.PCG64()
     gen = np.random.Generator(bitgen)
     states = _row_states(spec.seed, rows)
-    gamma = spec.kind == "gamma"
-    looks = spec.looks if gamma else 1
+    looks = spec.looks if spec.kind == "gamma" else 1
     strips = _strips._bounds(rows, 8 * looks * cols)
-    # gamma rows draw L uniforms per pixel into a strip buffer; the other
-    # kinds draw straight into the field
-    buf = np.empty((max(s.stop - s.start for s in strips), looks, cols)) if gamma else None
+    # Every kind draws its L uniforms per pixel (L = 1 but for gamma) into
+    # this strip buffer. An array smaller than two strips is one strip, so
+    # at 256x256 gamma L=3 it is 1.5 MiB, three times the field. Smaller
+    # buffers were measured slower: strips capped at 1 MiB took 640 minor
+    # faults per 256x256 `calibrate` call (0 with this buffer) and 8.1-8.3
+    # instead of 6.6 ms per call, and one 128 KiB strip size for every loop
+    # took 576 faults and raised the `calibrate` op_p50 from 5.50 to 6.76 ms
+    # for 0.15 MB less peak RSS. A likely cause, not instrumented, is glibc's
+    # dynamic mmap threshold: once this buffer is freed, later 0.5 MiB arrays
+    # come from the heap instead of fresh mappings.
+    buf = np.empty((max(s.stop - s.start for s in strips), looks, cols))
     for strip in strips:
-        u = buf[: strip.stop - strip.start] if gamma else field[strip]
+        u = buf[: strip.stop - strip.start]
         for i, (state, inc) in enumerate(states[strip]):
             bitgen.state = {
                 "bit_generator": "PCG64",
@@ -151,15 +154,15 @@ def generate_speckle(rows: int, cols: int, spec: SpeckleSpec) -> np.ndarray:
             gen.random(out=u[i])
         np.negative(u, out=u)
         np.log1p(u, out=u)
+        out = field[strip]
         if spec.kind == "rayleigh":
-            np.multiply(u, -2.0, out=u)
-            np.sqrt(u, out=u)
-            np.multiply(u, _RAYLEIGH_SCALE, out=u)
+            np.multiply(u[:, 0], -2.0, out=out)
+            np.sqrt(out, out=out)
+            np.multiply(out, _RAYLEIGH_SCALE, out=out)
         elif spec.kind == "exponential":
-            np.negative(u, out=u)
+            np.negative(u[:, 0], out=out)
         else:  # gamma(L, 1/L) as the mean of L unit exponentials
             # negating the sum equals summing the negated terms, bit for bit
-            out = field[strip]
             np.sum(u, axis=1, out=out)
             np.negative(out, out=out)
             np.divide(out, looks, out=out)

@@ -14,7 +14,7 @@ import pkgutil
 
 import despeckle
 
-PUBLIC_NAMES = 55
+PUBLIC_NAMES = 54
 SETTABLE_VALUES = 45
 
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from despeckle import cli
 from despeckle.image import PgmError, read_f64, read_pgm, write_f64, write_pgm
 
 from conftest import make_phantom
@@ -216,6 +217,20 @@ def test_unrecognized_magic_names_the_file_once(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: {bad}: unrecognized image magic b'XXXX'\n"
+
+
+@pytest.mark.parametrize(
+    "peak, maxval",
+    [(np.nextafter(255.5, 0.0), 255), (255.5, 65535), (-1.0, 255)],
+    ids=["below-half", "half-rounds-up", "all-negative"],
+)
+def test_write_image_depth_from_rounded_peak(tmp_path, peak, maxval):
+    # 8-bit exactly when the clamped, rounded pixels fit in 0..255
+    out = tmp_path / "o.pgm"
+    img = np.full((2, 2), -3.0)
+    img[1, 1] = peak
+    cli._write_image(str(out), img)
+    assert out.read_bytes() == write_pgm(img, maxval)
 
 
 def test_surface_csv(tmp_path):

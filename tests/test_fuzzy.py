@@ -3,7 +3,6 @@ import pytest
 
 from despeckle.fuzzy import (
     LABEL_CENTERS,
-    LABELS,
     RULES,
     ScalarError,
     control_step,
@@ -61,6 +60,10 @@ def test_fuzzify_examples():
     grades = fuzzify(0.25)
     assert grades["PS"] == 0.5 and grades["AZ"] == 0.5
     assert grades["NB"] == grades["NS"] == grades["PB"] == 0.0
+
+
+# the rule table's rows and columns follow LABEL_CENTERS order
+LABELS = tuple(LABEL_CENTERS)
 
 
 def _rule(de_label, e_label):
@@ -166,6 +169,61 @@ def test_output_surface_corners_center_and_rotation():
 def test_output_surface_rejects_small_grid():
     with pytest.raises(ValueError):
         output_surface(1)
+
+
+@pytest.mark.parametrize("grid_n", [2.5, 5.0, True])
+def test_output_surface_rejects_non_integer_grid(grid_n):
+    with pytest.raises(ValueError, match=f"grid_n must be >= 2, got {grid_n}"):
+        output_surface(grid_n)
+
+
+def test_output_surface_accepts_numpy_integer():
+    assert output_surface(np.int64(5)).tobytes() == output_surface(5).tobytes()
+
+
+def _infer_skipping_zeros(e_grades, de_grades):
+    """Inference that skips every rule of zero weight, as it once did."""
+    numerator = 0.0
+    total = 0.0
+    for de_label, row in zip(LABELS, RULES):
+        de_grade = de_grades[de_label]
+        if de_grade == 0.0:
+            continue
+        for e_label, out_label in zip(LABELS, row):
+            weight = min(e_grades[e_label], de_grade)
+            if weight == 0.0:
+                continue
+            numerator += weight * LABEL_CENTERS[out_label]
+            total += weight
+    return numerator / total if total > 0.0 else 0.0
+
+
+def _surface_oracle(grid_n):
+    """One fuzzify call per cell and zero-skipping inference."""
+    u = np.linspace(-1.0, 1.0, grid_n)
+    surface = np.empty((grid_n, grid_n), dtype=np.float64)
+    for i, de in enumerate(u):
+        de_grades = fuzzify(de)
+        for j, e in enumerate(u):
+            surface[i, j] = _infer_skipping_zeros(fuzzify(e), de_grades)
+    return surface
+
+
+@pytest.mark.parametrize("grid_n", [2, 7, 101])
+def test_output_surface_matches_per_cell_oracle(grid_n):
+    surface = output_surface(grid_n)
+    oracle = _surface_oracle(grid_n)
+    assert surface.dtype == np.float64
+    assert surface.tobytes() == oracle.tobytes()
+    assert surface_to_csv(surface) == surface_to_csv(oracle)
+
+
+def test_infer_zero_weight_rules_change_nothing():
+    # a zero weight adds +0.0 to both sums, so skipping it is bit-identical
+    rng = np.random.default_rng(5)
+    for e, de in rng.uniform(-1.5, 1.5, size=(2000, 2)):
+        want = _infer_skipping_zeros(fuzzify(e), fuzzify(de))
+        assert np.float64(control_step(e, de)).tobytes() == np.float64(want).tobytes()
 
 
 def test_surface_csv_format():

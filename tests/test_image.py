@@ -39,6 +39,20 @@ def test_read_pgm_header_comments():
     assert_array_equal(read_pgm(data), [[7.0, 9.0]])
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"P5#c\n2 1\n255\n" + bytes([7, 9]), b"P5 2#c\n1 255\n" + bytes([7, 9])],
+    ids=["comment-after-magic", "comment-ends-token"],
+)
+def test_read_pgm_comment_boundaries(data):
+    assert_array_equal(read_pgm(data), [[7.0, 9.0]])
+
+
+def test_read_pgm_header_ending_in_comment_names_offset():
+    with pytest.raises(PgmError, match="^unexpected end of header at byte 9$"):
+        read_pgm(b"P5 2 1 #c")
+
+
 def test_read_pgm_truncated_payload_names_offset():
     data = b"P5\n2 2\n255\n" + bytes([1, 2, 3])
     with pytest.raises(PgmError, match="byte 14"):

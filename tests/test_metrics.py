@@ -376,6 +376,21 @@ def test_full_report_parameter_validation():
         full_report(img, img, img, alpha=0.0)
 
 
+@pytest.mark.parametrize("block", [2.5, 25.0])
+def test_block_must_be_an_integer(block):
+    img = _textured()
+    with pytest.raises(ValueError, match=f"^block must be >= 2, got {block}$"):
+        enl_blocked(img, block)
+    with pytest.raises(ValueError, match=f"^block must be >= 2, got {block}$"):
+        full_report(img, img, img, block=block)
+
+
+def test_block_accepts_numpy_integer():
+    img = _textured()
+    assert enl_blocked(img, np.int64(25)) == enl_blocked(img, 25)
+    assert full_report(img, img, img, block=np.int64(25)) == full_report(img, img, img, block=25)
+
+
 @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
 def test_alpha_must_be_positive_and_finite(alpha):
     edges = np.zeros((8, 8), dtype=bool)

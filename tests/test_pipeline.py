@@ -87,6 +87,11 @@ def test_despeckle_rejects_nan_threshold(shrink):
         despeckle(np.ones((4, 4)), float("nan"), PipelineConfig(shrink=shrink))
 
 
+def test_despeckle_rejects_bool_threshold():
+    with pytest.raises(ValueError, match="^threshold must be a non-negative number, got True$"):
+        despeckle(np.ones((4, 4)), True)
+
+
 @pytest.mark.parametrize("lam", [float("inf"), 1e400], ids=["inf", "1e400"])
 def test_despeckle_rejects_infinite_threshold(lam):
     with pytest.raises(ValueError, match="threshold must be a non-negative number, got inf"):
@@ -571,11 +576,23 @@ def test_lee_smooths_gamma_speckle():
         lambda img: lee_filter(img, 2),
         lambda img: median_filter_homomorphic(img, 33),
         lambda img: lee_filter(img, 33),
+        lambda img: median_filter_homomorphic(img, 4.5),
+        lambda img: lee_filter(img, 4.5),
+        lambda img: median_filter_homomorphic(img, 3.0),
+        lambda img: lee_filter(img, 3.0),
+        lambda img: median_filter_homomorphic(img, True),
+        lambda img: lee_filter(img, True),
     ],
 )
 def test_baseline_kernel_validation(func):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^kernel (must be an odd integer >= 3, got|\d+ larger)"):
         func(np.ones((16, 16)))
+
+
+def test_baseline_kernel_accepts_numpy_integer():
+    img = np.random.default_rng(44).uniform(1, 255, size=(16, 16))
+    for filt in (median_filter_homomorphic, lee_filter):
+        assert filt(img, np.int64(3)).tobytes() == filt(img, 3).tobytes()
 
 
 def test_filters_preserve_shape_and_nonnegativity():

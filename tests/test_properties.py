@@ -125,8 +125,8 @@ def test_speckle_equals_per_row_oracle(rows, cols, kind, looks, seed):
 
 
 # Strips far below the default size: three 7-column rows per strip cut 10
-# rows into strips of 3, 3 and 4 (the first two fill only part of the
-# gamma buffer), and a 7-column gamma-20 row is larger than a whole strip.
+# rows into strips of 3, 3 and 4 (the first two fill only part of the strip
+# buffer), and a 7-column gamma-20 row is larger than a whole strip.
 @pytest.mark.parametrize(
     "kind, looks, strip_bytes, rows, strips",
     [
