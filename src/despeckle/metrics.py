@@ -17,15 +17,20 @@ Seven assessment figures for a (clean, noisy, despeckled) triple:
 
 Edge maps are plain boolean arrays produced by a Sobel magnitude detector
 thresholded at a fraction of its maximum. The Sobel pair is computed in
-cache-sized row strips in ``scipy.ndimage.sobel``'s
-order -- the difference along the gradient axis, then ``2 * centre +
-(previous + next)`` across it, on edge-replicated borders -- so
-magnitudes equal scipy's bit for bit. FOM distances come from the
-feature transform of the ideal map (the nearest ideal pixel of every
-pixel), evaluated as ``sqrt(dr^2 + dc^2)`` at the detected pixels only.
+cache-sized row strips in ``scipy.ndimage.sobel``'s order -- the
+difference along the gradient axis, then ``2 * centre + (previous +
+next)`` across it, on edge-replicated borders -- and kept as the squared
+magnitude ``gx*gx + gy*gy``. ``np.hypot`` of that pair is evaluated only
+where a square lies too close to the peak's or the threshold's to decide
+the comparison, so every edge map equals the one thresholded from
+``np.hypot(ndimage.sobel(...), ndimage.sobel(...))`` bit for bit. FOM
+distances come from the feature transform of the ideal map (the nearest
+ideal pixel of every pixel), evaluated as ``sqrt(dr^2 + dc^2)`` at the
+detected pixels only.
 
-:func:`full_report` composes the public figures, and each figure checks
-its own inputs.
+:func:`full_report` composes the public figures. It checks ``block``,
+``tau`` and ``alpha`` before the first figure runs, with the same checks
+the figures make.
 """
 
 import math
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._strips import _bounds
+from ._strips import _halo_strips
 from .image import _is_integer, as_image, subtract
 
 __all__ = [
@@ -91,6 +96,11 @@ def msd(reference, candidate) -> float:
     return float(diff.mean())
 
 
+def _check_block(block) -> None:
+    if not _is_integer(block) or block < 2:
+        raise ValueError(f"block must be >= 2, got {block}")
+
+
 def enl_blocked(img, block: int = 25) -> float:
     """Mean of per-tile ``mean^2 / var`` over full non-overlapping tiles.
 
@@ -99,8 +109,7 @@ def enl_blocked(img, block: int = 25) -> float:
     if every tile is constant.
     """
     arr = as_image(img)
-    if not _is_integer(block) or block < 2:
-        raise ValueError(f"block must be >= 2, got {block}")
+    _check_block(block)
     n_r = arr.shape[0] // block
     n_c = arr.shape[1] // block
     if n_r == 0 or n_c == 0:
@@ -129,36 +138,114 @@ def deflection_ratio(candidate, stats_source) -> float:
     return float(z.mean())
 
 
+# Relative half-width of the band of squared Sobel magnitudes that np.hypot
+# decides. With eps = 2^-52, a normal square gx*gx + gy*gy lies within 3 eps
+# of the exact sum of squares (three roundings of at most eps/2 each, and
+# under eps more where one component's square falls below the normal range),
+# and libm's hypot within 1 ulp (eps relative) of the exact magnitude, so
+# within 2 eps once squared. A pixel's square and its hypot's square thus
+# differ by under 5 eps, two pixels' by under 10 eps, and rounding the
+# squared threshold and the band's ends adds under 2 eps: all below 2^-48.
+# The band is 16 times that.
+_BAND = 2.0**-44
+_TINY = float(np.finfo(np.float64).tiny)
+_HUGE = float(np.finfo(np.float64).max)
+
+
+def _check_tau(tau) -> None:
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+
+
 def detect_edges(img, tau: float = 0.2) -> np.ndarray:
     """Boolean edge map: Sobel gradient magnitude >= ``tau`` times its
     maximum, with edge-replicated borders."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    _check_tau(tau)
     arr = as_image(img)
-    magnitude = _sobel_magnitude(arr)
-    peak = magnitude.max()
+    squares = _sobel_squares(arr)
+    top = squares.max()
+    if top == 0.0 and arr.min() == arr.max():
+        # every gradient of a constant image is exactly zero; this spares it
+        # np.hypot at every pixel below
+        return np.zeros(arr.shape, dtype=bool)
+    # The peak is the largest hypot among the pixels whose square could be
+    # the largest: every pixel when no square is normal. NaN squares (from
+    # gradients that overflowed both ways) are never ruled out.
+    floor = min(top, _HUGE) * (1.0 - _BAND) if top >= _TINY else 0.0
+    peak = _sobel_hypot(arr, np.flatnonzero(~(squares < floor))).max()
     if peak == 0.0:
         return np.zeros(arr.shape, dtype=bool)
-    return magnitude >= tau * peak
+    # Squares above ``hi`` are edges and squares below ``lo`` are not; hypot
+    # decides the rest, which holds the infinite squares and those below the
+    # normal range wherever the threshold leaves them either way.
+    threshold = float(tau * peak)
+    t2 = threshold * threshold  # Python floats overflow to inf silently
+    hi = max(t2, _TINY) * (1.0 + _BAND)
+    lo = min(t2, _HUGE) * (1.0 - _BAND)
+    edges = squares > hi
+    # below the normal range a square's relative error is unbounded
+    decided = squares < (lo if lo >= _TINY else 0.0)
+    decided |= edges
+    band = np.flatnonzero(~decided)
+    edges.flat[band] = _sobel_hypot(arr, band) >= threshold
+    return edges
 
 
-def _sobel_magnitude(arr: np.ndarray) -> np.ndarray:
-    magnitude = np.empty(arr.shape)
-    rows = arr.shape[0]
-    for s in _bounds(rows, arr[0].nbytes):
-        # This strip's rows plus one row above and below, and one column
-        # either side, replicated at the image border ("nearest" mode).
-        top, bottom = max(s.start - 1, 0), min(s.stop + 1, rows)
-        pad = ((top - (s.start - 1), s.stop + 1 - bottom), (1, 1))
-        x = np.pad(arr[top:bottom], pad, mode="edge")
-        # ndimage.sobel's order: difference along the gradient axis, then
-        # smooth across it as 2 * centre + (previous + next).
-        gx = x[:, 2:] - x[:, :-2]
-        gx = 2.0 * gx[1:-1] + (gx[:-2] + gx[2:])
-        gy = x[2:] - x[:-2]
-        gy = 2.0 * gy[:, 1:-1] + (gy[:, :-2] + gy[:, 2:])
-        np.hypot(gx, gy, out=magnitude[s])
-    return magnitude
+def _sobel_squares(arr: np.ndarray) -> np.ndarray:
+    """``gx*gx + gy*gy`` of the Sobel pair at every pixel, strip by strip.
+
+    ndimage.sobel's order: the difference along the gradient axis, then
+    ``2 * centre + (previous + next)`` across it (summed here as
+    ``(previous + next) + 2 * centre``, which leaves every bit the same).
+    """
+    squares = np.empty(arr.shape)
+    for s, x, (d,) in _halo_strips(arr, 1):
+        gx = squares[s]
+        rows, cols = gx.shape
+        dx = d[:, :cols]
+        np.subtract(x[:, 2:], x[:, :-2], out=dx)
+        np.add(dx[:-2], dx[2:], out=gx)
+        dx = dx[1:-1]
+        dx *= 2.0
+        gx += dx
+        dy = d[:rows]
+        np.subtract(x[2:], x[:-2], out=dy)
+        gy = x[:rows, :cols]  # x is read in full by now
+        np.add(dy[:, :-2], dy[:, 2:], out=gy)
+        dy = dy[:, 1:-1]
+        dy *= 2.0
+        gy += dy
+        # a square that overflows to inf is left to np.hypot, like every
+        # square that the band cannot decide
+        with np.errstate(over="ignore"):
+            gx *= gx
+            gy *= gy
+            gx += gy
+    return squares
+
+
+# Pixels per chunk of the pointwise Sobel magnitude, which holds about twenty
+# temporaries of this length.
+_POINTS = 1 << 14
+
+
+def _sobel_hypot(arr: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``np.hypot`` of the Sobel pair at the flat indices ``flat`` of
+    ``arr``, with ndimage.sobel's operations in its order."""
+    rows, cols = arr.shape
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _POINTS):
+        r, c = np.divmod(flat[start : start + _POINTS], cols)
+        r = (np.maximum(r - 1, 0), r, np.minimum(r + 1, rows - 1))
+        c = (np.maximum(c - 1, 0), c, np.minimum(c + 1, cols - 1))
+        dx = [arr[ri, c[2]] - arr[ri, c[0]] for ri in r]
+        dy = [arr[r[2], ci] - arr[r[0], ci] for ci in c]
+        np.hypot(
+            2.0 * dx[1] + (dx[0] + dx[2]),
+            2.0 * dy[1] + (dy[0] + dy[2]),
+            out=out[start : start + _POINTS],
+        )
+    return out
 
 
 def _edge_maps(detected, ideal) -> tuple:
@@ -192,6 +279,11 @@ def nearest_edge_distances(detected: np.ndarray, ideal: np.ndarray) -> np.ndarra
     return np.sqrt(dr * dr + dc * dc)
 
 
+def _check_alpha(alpha) -> None:
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
 def pratt_fom(detected: np.ndarray, ideal: np.ndarray, alpha: float = 1.0 / 9.0) -> float:
     """Pratt's figure of merit between detected and ideal edge maps.
 
@@ -200,8 +292,7 @@ def pratt_fom(detected: np.ndarray, ideal: np.ndarray, alpha: float = 1.0 / 9.0)
     nothing is detected.
     """
     detected, ideal = _edge_maps(detected, ideal)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    _check_alpha(alpha)
     n_detected = int(detected.sum())
     n_ideal = int(ideal.sum())
     if n_ideal == 0:
@@ -228,6 +319,9 @@ def full_report(
     shapes = np.shape(clean), np.shape(noisy), np.shape(despeckled)
     if not shapes[0] == shapes[1] == shapes[2]:
         raise ValueError("shape mismatch: {}, {}, {}".format(*shapes))
+    _check_block(block)
+    _check_tau(tau)
+    _check_alpha(alpha)
     nmv, nv, nsd = nmv_nv_nsd(despeckled)
     return MetricsReport(
         nmv=nmv,

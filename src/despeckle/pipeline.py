@@ -27,11 +27,13 @@ multiplicative model).
 
 import io
 import math
+import numbers
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
 import numpy as np
 
+from ._strips import _halo_strips
 from .fuzzy import control_step, scalarize
 from .image import _is_integer, as_image, exp_domain, log_domain
 from .speckle import SpeckleSpec, apply_speckle
@@ -260,7 +262,11 @@ def despeckle(noisy, lambda_star: float, cfg: PipelineConfig | None = None) -> n
     """One pass of the homomorphic shrinkage chain at threshold
     ``lambda_star``: apply a calibrated threshold open-loop to a new image."""
     cfg = cfg or PipelineConfig()
-    if isinstance(lambda_star, bool) or not 0 <= lambda_star < math.inf:
+    if (
+        not isinstance(lambda_star, numbers.Real)
+        or isinstance(lambda_star, bool)
+        or not 0 <= lambda_star < math.inf
+    ):
         raise ValueError(f"threshold must be a non-negative number, got {lambda_star}")
     return _synthesise(_analyse(as_image(noisy), cfg), lambda_star, cfg)
 
@@ -273,16 +279,67 @@ def _check_kernel(kernel: int, shape) -> None:
 
 
 def median_filter_homomorphic(noisy, kernel: int = 3) -> np.ndarray:
-    """Windowed median in the log domain with edge-replicated borders."""
+    """Windowed median in the log domain with edge-replicated borders.
+
+    The 3x3 median is a min/max network (Paeth, "Median finding on a 3x3
+    grid", Graphics Gems, 1990) over cache-sized row strips; larger kernels
+    run ``scipy.ndimage.median_filter``. The network only selects elements,
+    so it equals ``ndimage.median_filter(size=3, mode="nearest")`` bit for
+    bit, except that it may return the other zero of a window that holds
+    both +0.0 and -0.0. The log image holds no -0.0: ``ln(pixel + 1)`` of a
+    pixel >= 0 (-0.0 included) is +0.0 or positive.
+    """
+    arr = as_image(noisy)
+    _check_kernel(kernel, arr.shape)
+    if kernel == 3:
+        return exp_domain(_median3(log_domain(arr)))
     # scipy.ndimage is imported where it is used (here, in lee_filter and in
     # metrics.nearest_edge_distances): loading it roughly triples the time
     # `import despeckle` takes, and most commands never call these functions.
     from scipy import ndimage
 
-    arr = as_image(noisy)
-    _check_kernel(kernel, arr.shape)
-    filtered = ndimage.median_filter(log_domain(arr), size=kernel, mode="nearest")
-    return exp_domain(filtered)
+    return exp_domain(ndimage.median_filter(log_domain(arr), size=kernel, mode="nearest"))
+
+
+def _median3(arr: np.ndarray) -> np.ndarray:
+    """3x3 median of a 2-D array with edge-replicated borders.
+
+    Each strip sorts every vertical triple of its rows once: with
+    ``med3(a, b, c) = max(min(a, b), min(max(a, b), c))``, the triple
+    ``(a, b, c)`` sorts into ``min(min(a, b), c)``, ``med3(a, b, c)`` and
+    ``max(max(a, b), c)``. A sorted triple serves the three windows that
+    share its column, and a window's median is ``med3(max of lows, med3 of
+    mids, min of highs)`` over its three columns.
+    """
+    out = np.empty(arr.shape)
+    for s, x, (lo, mid, hi) in _halo_strips(arr, 3):
+        med = out[s]
+        rows, cols = med.shape
+        lo, mid, hi = lo[:rows], mid[:rows], hi[:rows]
+        above, centre, below = x[:-2], x[1:-1], x[2:]
+        np.minimum(above, centre, out=lo)
+        np.maximum(above, centre, out=hi)
+        np.minimum(hi, below, out=mid)
+        np.maximum(hi, below, out=hi)
+        np.maximum(lo, mid, out=mid)
+        np.minimum(lo, below, out=lo)
+        # x, then lo, then hi are free once read: the column maximum of the
+        # lows goes to x, the column minimum of the highs to lo, and the
+        # column med3 of the mids to hi
+        lows, highs, mids = x[:rows, :cols], lo[:, :cols], hi[:, :cols]
+        np.maximum(lo[:, :-2], lo[:, 1:-1], out=lows)
+        np.maximum(lows, lo[:, 2:], out=lows)
+        np.minimum(hi[:, :-2], hi[:, 1:-1], out=highs)
+        np.minimum(highs, hi[:, 2:], out=highs)
+        np.maximum(mid[:, :-2], mid[:, 1:-1], out=med)
+        np.minimum(med, mid[:, 2:], out=med)
+        np.minimum(mid[:, :-2], mid[:, 1:-1], out=mids)
+        np.maximum(mids, med, out=mids)
+        np.minimum(lows, mids, out=med)
+        np.maximum(lows, mids, out=lows)
+        np.minimum(lows, highs, out=lows)
+        np.maximum(med, lows, out=med)
+    return out
 
 
 def lee_filter(noisy, kernel: int = 5, noise_var_ratio: float = 1.0 / 3.0) -> np.ndarray:

@@ -16,7 +16,7 @@ from despeckle.metrics import (
     nearest_edge_distances,
     nmv_nv_nsd,
     pratt_fom,
-    _sobel_magnitude,
+    _sobel_hypot,
 )
 from despeckle.pipeline import despeckle
 from despeckle.speckle import SpeckleSpec, apply_speckle, generate_speckle
@@ -157,6 +157,11 @@ def _sobel_edges(img, tau):
     return magnitude >= tau * peak if peak > 0.0 else np.zeros(img.shape, dtype=bool)
 
 
+def _pointwise_magnitude(img):
+    """The pointwise helper's np.hypot at every pixel."""
+    return _sobel_hypot(img, np.arange(img.size)).reshape(img.shape)
+
+
 @pytest.mark.parametrize(
     "shape",
     [(1, 1), (1, 9), (9, 1), (2, 2), (3, 3), (17, 23), (1031, 515)],
@@ -170,9 +175,76 @@ def test_detect_edges_matches_sobel_oracle(shape):
     levels = np.floor(smooth / 86.0)
     stripes = (np.broadcast_to(levels[:1], shape), np.broadcast_to(levels[:, :1], shape))
     for img in (smooth, np.floor(smooth / 128.0), *stripes):
-        assert_array_equal(_sobel_magnitude(img), _sobel_magnitude_oracle(img))
+        assert_array_equal(_pointwise_magnitude(img), _sobel_magnitude_oracle(img))
         for tau in (0.2, 0.25, 0.5):
             assert_array_equal(detect_edges(img, tau), _sobel_edges(img, tau))
+
+
+def _scaled_levels(scale, low=0, high=4):
+    rng = np.random.default_rng(33)
+    return rng.integers(low, high, size=(23, 29)) * scale
+
+
+@pytest.mark.parametrize(
+    "img",
+    [
+        # squares below the normal range (about 1e-320) or infinite (about
+        # 1e320), and gradients whose square only just stays normal
+        _scaled_levels(1e-160),
+        _scaled_levels(1e160),
+        _scaled_levels(1e-154),
+        _scaled_levels(1e154),
+        # gradients that overflow to +-inf and NaN in the Sobel sums
+        _scaled_levels(1.5e308, -1, 2),
+        # stripes whose every edge pixel ties at the peak, and a peak tied
+        # between one step and its mirror image
+        np.repeat([[0.0, 0.0, 3.0, 3.0, 0.0, 0.0, 3.0]], 9, axis=0),
+        np.repeat([[0.0, 1.0, 2.0, 1.0, 0.0]], 5, axis=0).T,
+        # a constant image, and a diagonal whose every square underflows to
+        # zero while its hypot does not
+        np.full((6, 7), 5.0),
+        np.eye(8) * 1e-300,
+    ],
+    ids=["1e-160", "1e160", "1e-154", "1e154", "1e308", "stripes", "tent", "constant", "subnormal"],
+)
+@pytest.mark.parametrize("tau", [1e-300, 0.2, 0.5, 0.999])
+def test_detect_edges_at_extreme_levels_matches_oracle(img, tau):
+    # the pointwise helper decides every square that the band cannot
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_array_equal(_pointwise_magnitude(img), _sobel_magnitude_oracle(img))
+        assert_array_equal(detect_edges(img, tau), _sobel_edges(img, tau))
+
+
+def test_detect_edges_with_squares_below_the_normal_range_matches_oracle():
+    # Sobel pairs near 1e-161 square to subnormals, whose relative error is
+    # unbounded, and so does the threshold: hypot must decide them.
+    rng = np.random.default_rng(5)
+    for _ in range(1500):
+        scale = 10.0 ** rng.uniform(-166, -155)
+        img = rng.integers(0, 5, (5, 5)) * scale * rng.choice([1.0, 1.0001, 0.9999], (5, 5))
+        tau = float(rng.choice([0.2, 0.25, 0.5, 0.3, 0.7, 0.999]))
+        assert_array_equal(detect_edges(img, tau), _sobel_edges(img, tau))
+
+
+def test_detect_edges_peak_is_hypot_not_largest_square():
+    # A 3x3 patch, a zero column and its mirror image, one pixel of which is
+    # three ulps lower: the largest square lies at (2, 0) and the largest
+    # magnitude at (2, 6), one ulp larger.
+    patch = np.array(
+        [
+            [0.9951703927724493, 0.4592745643293781, 0.7929340596071114],
+            [0.5975786665544254, 0.08948464957194391, 0.1280238789471766],
+            [0.9772838868634961, 0.3511317683017021, 0.37780358301625494],
+        ]
+    )
+    img = np.hstack([patch, np.zeros((3, 1)), np.fliplr(patch)])
+    img[1, 6] -= 3 * np.spacing(img[1, 6])
+    squares = metrics._sobel_squares(img)
+    assert squares.argmax() == np.ravel_multi_index((2, 0), img.shape)
+    magnitude = _sobel_magnitude_oracle(img)
+    assert magnitude[2, 6] == np.nextafter(magnitude[2, 0], np.inf) == magnitude.max()
+    for tau in (0.18052455947911714, 0.3000293666461979, 0.4927688446263145):
+        assert_array_equal(detect_edges(img, tau), _sobel_edges(img, tau))
 
 
 # ---------------------------------------------------------------- FOM
@@ -325,9 +397,7 @@ def _triple(shape, seed):
 def test_full_report_composes_public_figures(monkeypatch):
     calls = _spy_on_figures(monkeypatch)
     full_report(*_triple((64, 64), 5))
-    # ENL's block check runs before the edge detector's tau check, which runs
-    # before the FOM's alpha check; deflection_ratio reads its statistics
-    # through nmv_nv_nsd.
+    # deflection_ratio reads its statistics through nmv_nv_nsd
     assert calls == [
         "nmv_nv_nsd",
         "msd",
@@ -374,6 +444,24 @@ def test_full_report_parameter_validation():
         full_report(img, img, img, tau=1.5)
     with pytest.raises(ValueError, match="alpha must be positive and finite, got 0.0"):
         full_report(img, img, img, alpha=0.0)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"block": 2.5}, "block must be >= 2, got 2.5"),
+        ({"block": 1}, "block must be >= 2, got 1"),
+        ({"tau": 1.5}, r"tau must lie in \(0, 1\), got 1.5"),
+        ({"alpha": float("inf")}, "alpha must be positive and finite, got inf"),
+    ],
+    ids=["block-2.5", "block-1", "tau", "alpha"],
+)
+def test_full_report_checks_arguments_before_any_figure(monkeypatch, bad, message):
+    calls = _spy_on_figures(monkeypatch)
+    img = _textured()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        full_report(img, img, img, **bad)
+    assert calls == []
 
 
 @pytest.mark.parametrize("block", [2.5, 25.0])

@@ -92,6 +92,13 @@ def test_despeckle_rejects_bool_threshold():
         despeckle(np.ones((4, 4)), True)
 
 
+@pytest.mark.parametrize("lambda_star", ["1", None, 1j], ids=["str", "None", "complex"])
+def test_despeckle_rejects_non_number_threshold(lambda_star):
+    # a string compared with 0 raised TypeError before the message was built
+    with pytest.raises(ValueError, match="^threshold must be a non-negative number, got"):
+        despeckle(np.ones((4, 4)), lambda_star)
+
+
 @pytest.mark.parametrize("lam", [float("inf"), 1e400], ids=["inf", "1e400"])
 def test_despeckle_rejects_infinite_threshold(lam):
     with pytest.raises(ValueError, match="threshold must be a non-negative number, got inf"):
@@ -531,12 +538,36 @@ def _window_oracle(img, kernel, reducer):
 
 
 def test_median_matches_brute_force_oracle():
+    # an odd window's np.median is one of its elements, so the two agree
+    # bit for bit
     rng = np.random.default_rng(39)
     img = rng.uniform(0, 255, size=(16, 16))
-    got = median_filter_homomorphic(img, 3)
     logged = np.log(img + 1.0)
-    want = np.exp(_window_oracle(logged, 3, np.median)) - 1.0
-    assert_allclose(got, want, rtol=0, atol=1e-10)
+    for kernel in (3, 5):
+        want = np.exp(_window_oracle(logged, kernel, np.median)) - 1.0
+        assert median_filter_homomorphic(img, kernel).tobytes() == want.tobytes()
+
+
+def _ndimage_median_oracle(img, kernel):
+    from scipy import ndimage
+
+    return exp_domain(ndimage.median_filter(log_domain(img), size=kernel, mode="nearest"))
+
+
+@pytest.mark.parametrize(
+    "shape, kernel",
+    [((1031, 515), 3), ((3, 3), 3), ((3, 40), 3), ((40, 3), 3), ((97, 131), 3), ((1031, 515), 5)],
+    ids=lambda v: f"{v[0]}x{v[1]}" if isinstance(v, tuple) else f"k{v}",
+)
+def test_median_equals_ndimage_bit_for_bit(shape, kernel):
+    # 1031x515 spans several strips; quantised levels put ties in most
+    # windows, and -0.0 pixels take the log image to +0.0 like 0.0 does
+    rng = np.random.default_rng(45)
+    smooth = rng.uniform(0.0, 255.0, size=shape)
+    signed_zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    for img in (smooth, np.floor(smooth / 64.0), np.where(smooth < 128, signed_zeros, 1.0)):
+        got = median_filter_homomorphic(img, kernel)
+        assert got.tobytes() == _ndimage_median_oracle(img, kernel).tobytes()
 
 
 def test_lee_matches_brute_force_oracle():

@@ -7,13 +7,14 @@ from numpy.testing import assert_array_equal
 from scipy import ndimage
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from despeckle import _strips  # noqa: E402
 from despeckle.image import PgmError, log_domain, read_f64, read_pgm, write_f64, write_pgm  # noqa: E402
-from despeckle.metrics import _sobel_magnitude, detect_edges  # noqa: E402
+from despeckle.metrics import _sobel_hypot, detect_edges  # noqa: E402
+from despeckle.pipeline import median_filter_homomorphic  # noqa: E402
 from despeckle.speckle import _RAYLEIGH_SCALE, KINDS, SpeckleSpec, generate_speckle  # noqa: E402
 from despeckle.thresholding import hard_threshold, soft_threshold  # noqa: E402
 from despeckle.wavelet import _diagonal_detail, bank_by_name, dwt2, idwt2  # noqa: E402
@@ -153,10 +154,20 @@ def test_detect_edges_equals_sobel_oracle(img, tau):
     magnitude = np.hypot(
         ndimage.sobel(img, axis=1, mode="nearest"), ndimage.sobel(img, axis=0, mode="nearest")
     )
-    assert_array_equal(_sobel_magnitude(img), magnitude)
+    pointwise = _sobel_hypot(img, np.arange(img.size)).reshape(img.shape)
+    assert_array_equal(pointwise, magnitude)
     peak = magnitude.max()
     expected = magnitude >= tau * peak if peak > 0.0 else np.zeros(img.shape, dtype=bool)
     assert_array_equal(detect_edges(img, tau), expected)
+
+
+@settings(deadline=2000)
+@given(img=images)
+def test_median_equals_ndimage_oracle(img):
+    assume(min(img.shape) >= 3)
+    logged = log_domain(img)
+    expected = np.exp(ndimage.median_filter(logged, size=3, mode="nearest")) - 1.0
+    assert median_filter_homomorphic(img, 3).tobytes() == expected.tobytes()
 
 
 file_shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)

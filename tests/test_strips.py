@@ -9,7 +9,7 @@ from numpy.testing import assert_array_equal
 from despeckle import _strips, cli
 from despeckle.image import write_pgm
 from despeckle.metrics import detect_edges, full_report
-from despeckle.pipeline import calibrate
+from despeckle.pipeline import calibrate, median_filter_homomorphic
 from despeckle.speckle import SpeckleSpec, apply_speckle
 from despeckle.wavelet import _diagonal_detail, bank_by_name, dwt2, idwt2
 
@@ -47,12 +47,12 @@ def test_no_thread_starts_at_any_size(phantom, tmp_path):
 
 
 # (shape, bank): the transforms of 600x1100 and 1031x515 cut into several
-# blocks of half-size rows, and their edge maps into several strips. At
-# 16 KiB strips the 1031x515 db4 blocks are 1 half-size row, so each
-# analysis block's 6-row trailing halo spans the next three blocks and each
-# synthesis block's 3-row leading halo the previous three; on 2x2, 4x6 and
-# 9x1 the halo wraps past the whole axis. Haar has no halo, so its
-# 1031x515 windows are views of the arrays they read.
+# blocks of half-size rows, and their edge maps and 3x3 medians into
+# several strips. At 16 KiB strips the 1031x515 db4 blocks are 1 half-size
+# row, so each analysis block's 6-row trailing halo spans the next three
+# blocks and each synthesis block's 3-row leading halo the previous three;
+# on 2x2, 4x6 and 9x1 the halo wraps past the whole axis. Haar has no halo,
+# so its 1031x515 windows are views of the arrays they read.
 STRIP_CASES = [
     ((600, 1100), "db2"),
     ((1031, 515), "db4"),
@@ -76,6 +76,8 @@ def test_results_do_not_depend_on_strip_size(monkeypatch, strip_bytes):
             sub = dwt2(img, bank)
             results += [sub.ca, sub.chd, sub.cvd, sub.cdd, idwt2(sub, bank)]
             results += [_diagonal_detail(img, bank), detect_edges(img)]
+            if min(img.shape) >= 3:
+                results.append(median_filter_homomorphic(img, 3))
         return results
 
     default = run()
