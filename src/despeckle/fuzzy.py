@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import _is_integer, as_image
+from .image import _is_integer, _is_real, as_image
 
 __all__ = [
     "LABEL_CENTERS",
@@ -70,11 +70,10 @@ def scalarize(error_image) -> ScalarError:
 
 def fuzzify(u: float) -> dict:
     """Grades of all five labels at ``u``, clamped into [-1, 1] (so +-inf
-    grade as +-1); NaN is rejected."""
-    u = float(u)
-    if math.isnan(u):
-        raise ValueError("membership input must be a number, got nan")
-    u = min(1.0, max(-1.0, u))
+    grade as +-1); NaN and non-real values are rejected."""
+    if not _is_real(u) or math.isnan(u):
+        raise ValueError(f"membership input must be a number, got {u!r}")
+    u = min(1.0, max(-1.0, float(u)))
     return {
         label: max(0.0, 1.0 - abs(u - center) / _HALF_WIDTH)
         for label, center in LABEL_CENTERS.items()

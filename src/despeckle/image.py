@@ -58,6 +58,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    # np.floating is registered as numbers.Real and np.bool_ is not
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _payload(data: bytes, start: int, need: int) -> bytes:
     """The ``need`` sample bytes at ``start``, which must end ``data`` exactly."""
     payload = data[start : start + need]

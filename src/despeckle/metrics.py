@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._strips import _halo_strips
-from .image import _is_integer, as_image, subtract
+from .image import _is_integer, _is_real, as_image, subtract
 
 __all__ = [
     "MetricsReport",
@@ -59,13 +59,17 @@ class MetricsReport:
 
     nmv: float
     nv: float
-    nsd: float
     msd: float
     enl: float
     dr: float
     fom: float
 
     CSV_HEADER = "NV,MSD,NMV,NSD,ENL,DR,FOM"
+
+    @property
+    def nsd(self) -> float:
+        """Standard deviation ``sqrt(nv)``, as :func:`nmv_nv_nsd` returns it."""
+        return math.sqrt(self.nv)
 
     def to_csv_row(self) -> str:
         values = (self.nv, self.msd, self.nmv, self.nsd, self.enl, self.dr, self.fom)
@@ -153,8 +157,8 @@ _HUGE = float(np.finfo(np.float64).max)
 
 
 def _check_tau(tau) -> None:
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    if not _is_real(tau) or not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
 
 
 def detect_edges(img, tau: float = 0.2) -> np.ndarray:
@@ -280,8 +284,8 @@ def nearest_edge_distances(detected: np.ndarray, ideal: np.ndarray) -> np.ndarra
 
 
 def _check_alpha(alpha) -> None:
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not _is_real(alpha) or not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
 
 
 def pratt_fom(detected: np.ndarray, ideal: np.ndarray, alpha: float = 1.0 / 9.0) -> float:
@@ -322,11 +326,10 @@ def full_report(
     _check_block(block)
     _check_tau(tau)
     _check_alpha(alpha)
-    nmv, nv, nsd = nmv_nv_nsd(despeckled)
+    nmv, nv, _ = nmv_nv_nsd(despeckled)
     return MetricsReport(
         nmv=nmv,
         nv=nv,
-        nsd=nsd,
         msd=msd(noisy, despeckled),
         enl=enl_blocked(despeckled, block),
         dr=deflection_ratio(despeckled, noisy),

@@ -27,7 +27,6 @@ multiplicative model).
 
 import io
 import math
-import numbers
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
@@ -35,16 +34,17 @@ import numpy as np
 
 from ._strips import _halo_strips
 from .fuzzy import control_step, scalarize
-from .image import _is_integer, as_image, exp_domain, log_domain
+from .image import _is_integer, _is_real, as_image, exp_domain, log_domain
 from .speckle import SpeckleSpec, apply_speckle
 from .thresholding import (
     ThresholdEstimate,
+    _check_threshold,
     hard_threshold,
     mad_sigma,
     soft_threshold,
     universal_threshold,
 )
-from .wavelet import Subbands, _diagonal_detail, bank_by_name, dwt2, idwt2
+from .wavelet import Subbands, _check_wavelet, _diagonal_detail, dwt2, idwt2
 
 __all__ = [
     "SHRINKERS",
@@ -64,7 +64,7 @@ SHRINKERS = {"hard": hard_threshold, "soft": soft_threshold}
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Shrinkage-chain configuration: filter bank and shrinkage rule."""
+    """Shrinkage-chain configuration: wavelet name and shrinkage rule."""
 
     wavelet: str = "haar"
     shrink: str = "hard"
@@ -72,7 +72,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.shrink not in SHRINKERS:
             raise ValueError(f"shrink must be one of {tuple(SHRINKERS)}, got {self.shrink!r}")
-        bank_by_name(self.wavelet)  # reject unknown names eagerly
+        _check_wavelet(self.wavelet)  # reject unknown names eagerly
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,17 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Calibration outcome: best threshold, why the loop stopped
-    (``converged``, ``stalled`` or ``max_iter``), and the full trace."""
+    """Calibration outcome: why the loop stopped (``converged``, ``stalled``
+    or ``max_iter``), and the full trace, which holds the best threshold."""
 
-    lambda_star: float
     stop_reason: str
     trace: tuple
+
+    @property
+    def lambda_star(self) -> float:
+        """The first threshold with the smallest error magnitude ``|e|``
+        (min keeps the first of equal magnitudes: the earliest best threshold)."""
+        return min(self.trace, key=attrgetter("me")).lam
 
     @property
     def converged(self) -> bool:
@@ -123,7 +128,7 @@ def trace_to_csv(trace) -> str:
 
 def _analyse(arr: np.ndarray, cfg: PipelineConfig) -> Subbands:
     """Log-domain wavelet coefficients of a validated image."""
-    return dwt2(log_domain(arr), bank_by_name(cfg.wavelet))
+    return dwt2(log_domain(arr), cfg.wavelet)
 
 
 def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig) -> np.ndarray:
@@ -132,7 +137,7 @@ def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig) -> np.ndarray:
     # the shrunk details are only idwt2's argument, so they are freed before exp_domain runs
     log_out = idwt2(
         replace(sub, chd=shrink(sub.chd, lam), cvd=shrink(sub.cvd, lam), cdd=shrink(sub.cdd, lam)),
-        bank_by_name(cfg.wavelet),
+        cfg.wavelet,
     )
     out = exp_domain(log_out)
     return np.maximum(out, 0.0, out=out)
@@ -154,13 +159,12 @@ def initial_threshold(img, cfg: PipelineConfig | None = None) -> ThresholdEstima
 
     Only that block is computed: the highpass row pass of the log image,
     then the highpass column pass of its output. The coefficients equal
-    ``dwt2(log_domain(img), bank_by_name(cfg.wavelet)).cdd`` bit for bit,
+    ``dwt2(log_domain(img), cfg.wavelet).cdd`` bit for bit,
     at about half the cost of the full analysis.
     """
     cfg = cfg or PipelineConfig()
     arr = as_image(img)
-    bank = bank_by_name(cfg.wavelet)
-    return _seed_threshold(_diagonal_detail(log_domain(arr), bank), arr.shape)
+    return _seed_threshold(_diagonal_detail(log_domain(arr), cfg.wavelet), arr.shape)
 
 
 def calibrate(
@@ -209,7 +213,7 @@ def calibrate(
         raise ValueError("clean reference is identically zero")
     if epsilon is None:
         epsilon = 0.02 * peak
-    if isinstance(epsilon, bool) or not 0 < epsilon < math.inf:
+    if not _is_real(epsilon) or not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
 
     sub = _analyse(apply_speckle(clean, spec), cfg)
@@ -250,24 +254,14 @@ def calibrate(
         seen.add(k)
     else:
         stop_reason = "max_iter"
-    # min keeps the first of equal magnitudes: the earliest best threshold
-    return CalibrationResult(
-        lambda_star=min(trace, key=attrgetter("me")).lam,
-        stop_reason=stop_reason,
-        trace=tuple(trace),
-    )
+    return CalibrationResult(stop_reason=stop_reason, trace=tuple(trace))
 
 
 def despeckle(noisy, lambda_star: float, cfg: PipelineConfig | None = None) -> np.ndarray:
     """One pass of the homomorphic shrinkage chain at threshold
     ``lambda_star``: apply a calibrated threshold open-loop to a new image."""
     cfg = cfg or PipelineConfig()
-    if (
-        not isinstance(lambda_star, numbers.Real)
-        or isinstance(lambda_star, bool)
-        or not 0 <= lambda_star < math.inf
-    ):
-        raise ValueError(f"threshold must be a non-negative number, got {lambda_star}")
+    _check_threshold(lambda_star)
     return _synthesise(_analyse(as_image(noisy), cfg), lambda_star, cfg)
 
 
@@ -354,8 +348,8 @@ def lee_filter(noisy, kernel: int = 5, noise_var_ratio: float = 1.0 / 3.0) -> np
 
     arr = as_image(noisy)
     _check_kernel(kernel, arr.shape)
-    if noise_var_ratio < 0 or not np.isfinite(noise_var_ratio):
-        raise ValueError(f"noise_var_ratio must be a non-negative real, got {noise_var_ratio}")
+    if not _is_real(noise_var_ratio) or not 0 <= noise_var_ratio < math.inf:
+        raise ValueError(f"noise_var_ratio must be a non-negative real, got {noise_var_ratio!r}")
     mean = ndimage.uniform_filter(arr, size=kernel, mode="nearest")
     mean_sq = ndimage.uniform_filter(arr * arr, size=kernel, mode="nearest")
     var = np.maximum(mean_sq - mean * mean, 0.0)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .image import _is_real
+
 __all__ = [
     "MAD_SCALE",
     "ThresholdEstimate",
@@ -49,25 +51,28 @@ def universal_threshold(delta_mad: float, n: int) -> ThresholdEstimate:
     """Universal threshold ``delta_mad * sqrt(2 ln n)`` over ``n`` samples."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    if not _is_real(delta_mad) or not 0 <= delta_mad < math.inf:
+        raise ValueError(f"delta_mad must be a non-negative finite real, got {delta_mad!r}")
     delta_mad = float(delta_mad)
-    if not np.isfinite(delta_mad) or delta_mad < 0:
-        raise ValueError(f"delta_mad must be a non-negative finite real, got {delta_mad}")
     lam = delta_mad * math.sqrt(2.0 * math.log(n))
     return ThresholdEstimate(delta_mad=delta_mad, lam=lam)
 
 
+def _check_threshold(lam) -> None:
+    if not _is_real(lam) or not 0 <= lam < math.inf:
+        raise ValueError(f"threshold must be a non-negative number, got {lam!r}")
+
+
 def hard_threshold(sub, lam: float) -> np.ndarray:
     """Zero every coefficient with ``|x| <= lam``; keep the rest verbatim."""
-    if not lam >= 0:
-        raise ValueError(f"threshold must be a non-negative number, got {lam}")
+    _check_threshold(lam)
     x = np.asarray(sub, dtype=np.float64)
     return np.where(np.abs(x) <= lam, 0.0, x)
 
 
 def soft_threshold(sub, lam: float) -> np.ndarray:
     """Shrink magnitudes toward zero: ``sign(x) * max(|x| - lam, 0)``."""
-    if not lam >= 0:
-        raise ValueError(f"threshold must be a non-negative number, got {lam}")
+    _check_threshold(lam)
     x = np.asarray(sub, dtype=np.float64)
     out = np.abs(x)
     out -= lam

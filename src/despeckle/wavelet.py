@@ -1,5 +1,6 @@
 """Single-level separable 2-D discrete wavelet transform with orthogonal
-filter banks.
+filter banks, named by string: :func:`dwt2` and :func:`idwt2` take
+``"haar"``, ``"db2"`` or ``"db4"`` (:data:`SUPPORTED_BANKS`).
 
 Analysis filters the rows first, then the columns; synthesis runs the
 transpose order (columns, then rows). Boundaries are handled by periodic
@@ -48,7 +49,7 @@ results do not depend on the block size.
 :func:`_diagonal_detail` is the analysis restricted to the diagonal
 block ``cdd``, the only one the universal-threshold seed reads: the same
 loop with the lowpass outputs skipped, so its output equals
-``dwt2(x, bank).cdd`` bit for bit at about half the cost.
+``dwt2(x, wavelet).cdd`` bit for bit at about half the cost.
 """
 
 import math
@@ -60,9 +61,7 @@ from ._strips import _bounds
 from .image import as_image
 
 __all__ = [
-    "FilterBank",
     "Subbands",
-    "bank_by_name",
     "dwt2",
     "idwt2",
     "SUPPORTED_BANKS",
@@ -95,28 +94,21 @@ _LOWPASS = {
 }
 
 
-@dataclass(frozen=True)
-class FilterBank:
-    """Orthogonal analysis pair; highpass is the alternating-sign flip of lowpass."""
-
-    lowpass: np.ndarray
-    highpass: np.ndarray
-
-
-def _bank(taps: tuple) -> FilterBank:
+def _bank(taps: tuple) -> tuple:
+    """Orthogonal analysis pair ``(h, g)``: lowpass taps and their alternating-sign flip."""
     h = np.array(taps, dtype=np.float64)
     g = ((-1.0) ** np.arange(h.size)) * h[::-1]
-    h.flags.writeable = g.flags.writeable = False  # one instance per name is shared
-    return FilterBank(lowpass=h, highpass=g)
+    h.flags.writeable = g.flags.writeable = False  # one pair per name is shared
+    return h, g
 
 
 _BANKS = {name: _bank(taps) for name, taps in _LOWPASS.items()}
 SUPPORTED_BANKS = tuple(_BANKS)
 
 
-def bank_by_name(name: str) -> FilterBank:
-    """The shared, read-only filter bank of the given name: haar, db2, or db4."""
-    if name not in _BANKS:
+def _check_wavelet(name) -> tuple:
+    """The shared, read-only ``(h, g)`` of the wavelet ``name``: haar, db2, or db4."""
+    if not isinstance(name, str) or name not in _BANKS:  # no hashing of other types
         raise ValueError(f"unknown wavelet {name!r}; supported: {', '.join(SUPPORTED_BANKS)}")
     return _BANKS[name]
 
@@ -205,12 +197,12 @@ def _even(x: np.ndarray) -> np.ndarray:
 _BLOCKS_PER_STRIP = 8
 
 
-def _analyze(x: np.ndarray, bank: FilterBank, lowpass: bool) -> tuple:
+def _analyze(x: np.ndarray, bank: tuple, lowpass: bool) -> tuple:
     """Blocks ``(ca, chd, cvd, cdd)`` of an even-sized image, where
     half-size rows ``s`` read input rows ``2 * s.start`` to
     ``2 * s.stop + taps - 3``. With ``lowpass`` False the lowpass outputs
     are skipped: only ``cdd`` is computed, and the others are None."""
-    h, g = bank.lowpass, bank.highpass
+    h, g = bank
     half_rows, half_cols = x.shape[0] // 2, x.shape[1] // 2
     blocks = _bounds(half_rows, _BLOCKS_PER_STRIP * x[0].nbytes // 2)
     span = 2 * max(s.stop - s.start for s in blocks) + h.size - 2
@@ -241,26 +233,26 @@ def _analyze(x: np.ndarray, bank: FilterBank, lowpass: bool) -> tuple:
     return ca, chd, cvd, cdd
 
 
-def dwt2(img, bank: FilterBank) -> Subbands:
-    """One separable analysis level with periodic extension; odd sizes are
-    padded by edge replication."""
+def dwt2(img, wavelet: str) -> Subbands:
+    """One separable analysis level of the named ``wavelet`` with periodic
+    extension; odd sizes are padded by edge replication."""
     x = as_image(img)
-    ca, chd, cvd, cdd = _analyze(_even(x), bank, lowpass=True)
+    ca, chd, cvd, cdd = _analyze(_even(x), _check_wavelet(wavelet), lowpass=True)
     return Subbands(ca=ca, chd=chd, cvd=cvd, cdd=cdd, shape=x.shape)
 
 
-def _diagonal_detail(x: np.ndarray, bank: FilterBank) -> np.ndarray:
-    """``dwt2(x, bank).cdd`` of a validated image, without the other three
-    blocks."""
-    return _analyze(_even(x), bank, lowpass=False)[3]
+def _diagonal_detail(x: np.ndarray, wavelet: str) -> np.ndarray:
+    """``dwt2(x, wavelet).cdd`` of a validated image and a supported
+    wavelet name, without the other three blocks."""
+    return _analyze(_even(x), _BANKS[wavelet], lowpass=False)[3]
 
 
-def idwt2(sub: Subbands, bank: FilterBank) -> np.ndarray:
-    """Exact synthesis inverse of :func:`dwt2`, cropped back to the pre-pad
-    shape. Half-size rows ``s`` of the blocks, read with the
-    ``taps // 2 - 1`` rows before them, make output rows ``2 * s.start``
-    to ``2 * s.stop - 1``."""
-    h, g = bank.lowpass, bank.highpass
+def idwt2(sub: Subbands, wavelet: str) -> np.ndarray:
+    """Exact synthesis inverse of :func:`dwt2` with the same ``wavelet``,
+    cropped back to the pre-pad shape. Half-size rows ``s`` of the blocks,
+    read with the ``taps // 2 - 1`` rows before them, make output rows
+    ``2 * s.start`` to ``2 * s.stop - 1``."""
+    h, g = _check_wavelet(wavelet)
     half_rows, half_cols = sub.ca.shape
     halo = h.size // 2 - 1
     blocks = _bounds(half_rows, _BLOCKS_PER_STRIP * sub.ca[0].nbytes)

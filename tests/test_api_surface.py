@@ -14,8 +14,8 @@ import pkgutil
 
 import despeckle
 
-PUBLIC_NAMES = 54
-SETTABLE_VALUES = 45
+PUBLIC_NAMES = 52
+SETTABLE_VALUES = 41
 
 
 def _public_objects():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,16 @@ def test_nan_is_rejected():
     for e, de in ((nan, 0.0), (0.0, nan), (np.float64(nan), 0.5)):
         with pytest.raises(ValueError, match="nan"):
             control_step(e, de)
+
+
+@pytest.mark.parametrize("u", ["0.5", None, True, np.True_], ids=["str", "None", "bool", "np_bool"])
+def test_fuzzify_rejects_non_real(u):
+    with pytest.raises(ValueError, match=f"^membership input must be a number, got {re.escape(repr(u))}$"):
+        fuzzify(u)
+
+
+def test_fuzzify_accepts_numpy_reals():
+    assert fuzzify(np.float32(0.25)) == fuzzify(np.float64(0.25)) == fuzzify(0.25)
 
 
 def test_fuzzify_examples():

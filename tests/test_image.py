@@ -182,6 +182,22 @@ def test_read_f64_non_decimal_dimensions_names_offset(data, dims):
         read_f64(data)
 
 
+@pytest.mark.parametrize(
+    "read, data, message",
+    [
+        (read_pgm, b"P5 0 1 255\n", "width must be positive, got 0 at byte 3"),
+        (read_pgm, b"P5 1 1 255#x\n\x00", "missing whitespace before samples at byte 10"),
+        (read_f64, b"F64\n1 1", "unterminated F64 dimension line at byte 7"),
+        (read_f64, b"F64\n1\n" + bytes(8), "expected '<rows> <cols>' at byte 4, got b'1'"),
+        (read_f64, b"F64\n0 1\n", "F64 dimensions must be positive, got 0x1 at byte 4"),
+    ],
+    ids=["pgm-zero-width", "pgm-no-whitespace", "f64-unterminated", "f64-one-field", "f64-zero"],
+)
+def test_malformed_header_names_problem_and_offset(read, data, message):
+    with pytest.raises(PgmError, match=f"^{re.escape(message)}$"):
+        read(data)
+
+
 def test_log_domain_values():
     assert log_domain(np.array([[0.0]]))[0, 0] == 0.0
     assert log_domain(np.array([[math.e - 1.0]]))[0, 0] == pytest.approx(1.0, rel=1e-15)

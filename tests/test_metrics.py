@@ -118,6 +118,12 @@ def test_deflection_ratio_rejects_constant_source():
         deflection_ratio(np.ones((4, 4)), np.ones((4, 4)))
 
 
+def test_deflection_ratio_rejects_shape_mismatch():
+    img = np.random.default_rng(26).uniform(0, 255, size=(4, 4))
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 2\) vs \(2, 3\)$"):
+        deflection_ratio(np.ones((2, 2)), img[:2, :3])
+
+
 # ---------------------------------------------------------------- edges
 
 
@@ -142,6 +148,30 @@ def test_detect_edges_deterministic():
 def test_detect_edges_tau_range():
     with pytest.raises(ValueError):
         detect_edges(np.zeros((4, 4)), 0.0)
+
+
+# Python numbers and numpy floating scalars are real; bools (np.True_
+# included), strings and None are not.
+NON_REAL = ["0.5", None, True, np.True_]
+NON_REAL_IDS = ["str", "None", "bool", "np_bool"]
+
+
+@pytest.mark.parametrize("tau", NON_REAL, ids=NON_REAL_IDS)
+def test_tau_rejects_non_real(tau):
+    img = np.random.default_rng(3).uniform(0, 255, size=(8, 8))
+    message = rf"^tau must lie in \(0, 1\), got {re.escape(repr(tau))}$"
+    with pytest.raises(ValueError, match=message):
+        detect_edges(img, tau)
+    with pytest.raises(ValueError, match=message):
+        full_report(img, img, img, block=4, tau=tau)
+
+
+def test_tau_and_alpha_accept_numpy_reals():
+    img = np.random.default_rng(4).uniform(0, 255, size=(16, 16))
+    edges = detect_edges(img, np.float32(0.25))
+    assert_array_equal(edges, detect_edges(img, 0.25))
+    ideal = detect_edges(img, 0.5)
+    assert pratt_fom(edges, ideal, np.float64(0.5)) == pratt_fom(edges, ideal, 0.5)
 
 
 def _sobel_magnitude_oracle(img):
@@ -280,6 +310,16 @@ def test_fom_empty_maps_raise():
         pratt_fom(detected, empty)
 
 
+def test_edge_maps_must_share_a_shape():
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 2\) vs \(2, 3\)$"):
+        pratt_fom(np.ones((2, 2), dtype=bool), np.ones((2, 3), dtype=bool))
+
+
+def test_nearest_edge_distances_rejects_empty_ideal_map():
+    with pytest.raises(ValueError, match="^ideal edge map is empty$"):
+        nearest_edge_distances(np.ones((3, 3), dtype=bool), np.zeros((3, 3), dtype=bool))
+
+
 @pytest.mark.parametrize("shape", [(8,), (2, 4, 4)], ids=["1-D", "3-D"])
 def test_edge_maps_must_be_2d(shape):
     # a 3-D pair read with its last axis as columns gave 7.62 for the true
@@ -362,7 +402,7 @@ def test_full_report_no_noise_identity(phantom):
 
 def test_full_report_table_order():
     assert MetricsReport.CSV_HEADER == "NV,MSD,NMV,NSD,ENL,DR,FOM"
-    report = MetricsReport(nmv=3.0, nv=4.0, nsd=2.0, msd=1.0, enl=5.0, dr=0.25, fom=0.5)
+    report = MetricsReport(nmv=3.0, nv=4.0, msd=1.0, enl=5.0, dr=0.25, fom=0.5)
     assert report.to_csv_row() == "4.0,1.0,3.0,2.0,5.0,0.25,0.5"
     table = report.to_table()
     header, row = table.split("\n")
@@ -414,10 +454,11 @@ def test_full_report_composes_public_figures(monkeypatch):
 def test_full_report_equals_composition(shape):
     clean, noisy, out = _triple(shape, 11)
     nmv, nv, nsd = nmv_nv_nsd(out)
-    assert full_report(clean, noisy, out, block=16, tau=0.3, alpha=0.5) == MetricsReport(
+    report = full_report(clean, noisy, out, block=16, tau=0.3, alpha=0.5)
+    assert report.nsd == nsd
+    assert report == MetricsReport(
         nmv=nmv,
         nv=nv,
-        nsd=nsd,
         msd=msd(noisy, out),
         enl=enl_blocked(out, 16),
         dr=deflection_ratio(out, noisy),
@@ -479,14 +520,19 @@ def test_block_accepts_numpy_integer():
     assert full_report(img, img, img, block=np.int64(25)) == full_report(img, img, img, block=25)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "alpha",
+    [0.0, -1.0, float("nan"), float("inf")] + NON_REAL,
+    ids=["0.0", "-1.0", "nan", "inf"] + NON_REAL_IDS,
+)
 def test_alpha_must_be_positive_and_finite(alpha):
     edges = np.zeros((8, 8), dtype=bool)
     edges[2, 2] = True
     img = _textured()
-    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+    message = f"^alpha must be positive and finite, got {re.escape(repr(alpha))}$"
+    with pytest.raises(ValueError, match=message):
         full_report(img, img, img, alpha=alpha)
-    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+    with pytest.raises(ValueError, match=message):
         pratt_fom(edges, edges, alpha=alpha)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from despeckle.pipeline import (
 )
 from despeckle.speckle import SpeckleSpec, apply_speckle
 from despeckle.thresholding import hard_threshold, mad_sigma, soft_threshold, universal_threshold
-from despeckle.wavelet import Subbands, bank_by_name, dwt2, idwt2
+from despeckle.wavelet import Subbands, dwt2, idwt2
 
 from conftest import make_phantom
 
@@ -48,7 +49,7 @@ def test_shrink_once_huge_threshold_keeps_approximation_only():
     rng = np.random.default_rng(32)
     cfg = PipelineConfig(wavelet="db2", shrink="soft")
     img = rng.uniform(1, 200, size=(16, 16))
-    sub = dwt2(log_domain(img), bank_by_name(cfg.wavelet))
+    sub = dwt2(log_domain(img), cfg.wavelet)
     lam = max(np.abs(b).max() for b in (sub.chd, sub.cvd, sub.cdd)) + 1.0
     from dataclasses import replace
 
@@ -57,7 +58,7 @@ def test_shrink_once_huge_threshold_keeps_approximation_only():
     from despeckle.image import exp_domain
     from despeckle.wavelet import idwt2
 
-    expected = np.maximum(exp_domain(idwt2(ca_only, bank_by_name(cfg.wavelet))), 0.0)
+    expected = np.maximum(exp_domain(idwt2(ca_only, cfg.wavelet)), 0.0)
     assert_allclose(despeckle(img, lam, cfg), expected, rtol=0, atol=1e-10)
 
 
@@ -108,7 +109,7 @@ def test_despeckle_rejects_infinite_threshold(lam):
 def test_detail_energy_monotone_in_threshold():
     rng = np.random.default_rng(34)
     img = rng.uniform(1, 255, size=(32, 32))
-    sub = dwt2(log_domain(img), bank_by_name("haar"))
+    sub = dwt2(log_domain(img), "haar")
 
     def retained(lam):
         return sum(
@@ -127,7 +128,7 @@ def test_initial_threshold_subband_selection():
     rng = np.random.default_rng(35)
     img = rng.uniform(1, 255, size=(32, 32))
     cfg = PipelineConfig()
-    cdd = dwt2(log_domain(img), bank_by_name(cfg.wavelet)).cdd
+    cdd = dwt2(log_domain(img), cfg.wavelet).cdd
     est = initial_threshold(img, cfg)
     assert est.delta_mad == pytest.approx(mad_sigma(cdd), rel=1e-12)
     # the seed counts the diagonal block's coefficients
@@ -152,7 +153,7 @@ def test_initial_threshold_tracks_log_noise_level():
     logged = rng.normal(3.0, sigma, size=(256, 256))
     img = np.exp(logged) - 1.0
     est = initial_threshold(img)
-    subband_std = float(dwt2(np.log(img + 1.0), bank_by_name("haar")).cdd.std())
+    subband_std = float(dwt2(np.log(img + 1.0), "haar").cdd.std())
     assert est.delta_mad == pytest.approx(subband_std, rel=0.05)
 
 
@@ -168,7 +169,7 @@ def test_initial_threshold_runs_no_full_analysis(monkeypatch):
     # equals the one taken from the full analysis.
     img = apply_speckle(_small_phantom(), SpeckleSpec(kind="rayleigh", seed=3))
     cfg = PipelineConfig(wavelet="db4")
-    sub = dwt2(log_domain(img), bank_by_name(cfg.wavelet))
+    sub = dwt2(log_domain(img), cfg.wavelet)
     expected = universal_threshold(mad_sigma(sub.cdd), sub.cdd.size)
     calls = []
 
@@ -286,10 +287,18 @@ def test_calibrate_rejects_bad_arguments():
 
 @pytest.mark.parametrize(
     "name,value",
-    [("max_iter", 2.5), ("max_iter", 3.0), ("max_iter", True), ("max_iter", "3"), ("epsilon", True)],
+    [
+        ("max_iter", 2.5),
+        ("max_iter", 3.0),
+        ("max_iter", True),
+        ("max_iter", "3"),
+        ("epsilon", True),
+        ("epsilon", "1"),
+        ("epsilon", np.True_),
+    ],
 )
 def test_calibrate_rejects_bool_and_non_integer_arguments(name, value):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
         calibrate(_small_phantom(), SpeckleSpec(seed=0), **{name: value})
 
 
@@ -353,7 +362,7 @@ def test_trace_csv_round_trip():
 
 def _detail_magnitudes(noisy, cfg):
     """|d| over the three detail blocks of the log image, computed apart from calibrate."""
-    sub = dwt2(log_domain(noisy), bank_by_name(cfg.wavelet))
+    sub = dwt2(log_domain(noisy), cfg.wavelet)
     return np.abs(np.concatenate([sub.chd.ravel(), sub.cvd.ravel(), sub.cdd.ravel()]))
 
 
@@ -396,7 +405,7 @@ def _reference_calibrate(clean, spec, cfg, max_iter=100):
             stop_reason = "stalled"
             break
         lam = next_lam
-    return CalibrationResult(best_lam, stop_reason, tuple(trace))
+    return best_lam, CalibrationResult(stop_reason, tuple(trace))
 
 
 # (speckle kind, seed, shrink, wavelet, whether lambda touches 0 or max|d| on
@@ -418,11 +427,12 @@ def test_calibrate_matches_reference_loop(kind, seed, shrink, wavelet, clamps):
     spec = SpeckleSpec(kind=kind, seed=seed)
     cfg = PipelineConfig(wavelet=wavelet, shrink=shrink)
     result = calibrate(clean, spec, cfg)
-    expected = _reference_calibrate(clean, spec, cfg)
+    best_lam, expected = _reference_calibrate(clean, spec, cfg)
     top = float(_detail_magnitudes(apply_speckle(clean, spec), cfg).max())
     assert any(step.lam in (0.0, top) for step in result.trace) == clamps
     assert trace_to_csv(result.trace) == trace_to_csv(expected.trace)
     assert result == expected
+    assert result.lambda_star == best_lam
 
 
 @pytest.mark.parametrize("kind,seed,shrink,wavelet,clamps", CALIBRATION_CASES)
@@ -593,6 +603,22 @@ def test_lee_zero_noise_is_identity():
     assert_allclose(lee_filter(img, 3, 0.0), img, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "ratio", ["0.3", None, True, np.True_, -0.1, float("inf")],
+    ids=["str", "None", "bool", "np_bool", "negative", "inf"],
+)
+def test_lee_rejects_non_real_noise_var_ratio(ratio):
+    img = np.random.default_rng(42).uniform(0, 255, size=(8, 8))
+    message = f"^noise_var_ratio must be a non-negative real, got {re.escape(repr(ratio))}$"
+    with pytest.raises(ValueError, match=message):
+        lee_filter(img, 3, ratio)
+
+
+def test_lee_accepts_numpy_real_noise_var_ratio():
+    img = np.random.default_rng(43).uniform(0, 255, size=(8, 8))
+    assert_array_equal(lee_filter(img, 3, np.float32(0.5)), lee_filter(img, 3, 0.5))
+
+
 def test_lee_smooths_gamma_speckle():
     img = np.full((64, 64), 100.0)
     noisy = apply_speckle(img, SpeckleSpec(kind="gamma", looks=3, seed=13))
@@ -645,6 +671,13 @@ def test_pipeline_config_validation():
         PipelineConfig(wavelet="db15")
 
 
+@pytest.mark.parametrize("wavelet", [None, ("haar",), ["haar"]], ids=["None", "tuple", "list"])
+def test_pipeline_config_rejects_non_string_wavelet(wavelet):
+    message = f"^unknown wavelet {re.escape(repr(wavelet))}; supported: haar, db2, db4$"
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(wavelet=wavelet)
+
+
 # ---------------------------------------------------------------- caller memory
 
 
@@ -686,8 +719,8 @@ def test_results_never_reuse_caller_memory(name):
     clean = _small_phantom()
     noisy = apply_speckle(clean, spec)
     out = despeckle(noisy, 1.0, cfg)
-    band = dwt2(log_domain(noisy), bank_by_name(cfg.wavelet)).cdd
-    haar = bank_by_name("haar")  # no halo: the transforms' windows view their inputs
+    band = dwt2(log_domain(noisy), cfg.wavelet).cdd
+    haar = "haar"  # no halo: the transforms' windows view their inputs
     fn, *args = {
         "log_domain": (log_domain, noisy),
         "exp_domain": (exp_domain, log_domain(noisy)),

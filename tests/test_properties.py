@@ -17,7 +17,7 @@ from despeckle.metrics import _sobel_hypot, detect_edges  # noqa: E402
 from despeckle.pipeline import median_filter_homomorphic  # noqa: E402
 from despeckle.speckle import _RAYLEIGH_SCALE, KINDS, SpeckleSpec, generate_speckle  # noqa: E402
 from despeckle.thresholding import hard_threshold, soft_threshold  # noqa: E402
-from despeckle.wavelet import _diagonal_detail, bank_by_name, dwt2, idwt2  # noqa: E402
+from despeckle.wavelet import _diagonal_detail, dwt2, idwt2  # noqa: E402
 
 # Small shapes, and shapes of 2.2-4.3 MiB whose row passes cut into 2-4 strips.
 shapes = st.one_of(
@@ -42,9 +42,8 @@ def _image(shape, seed, levels):
 @settings(deadline=2000)
 @given(img=images, name=st.sampled_from(["haar", "db2", "db4"]))
 def test_dwt_perfect_reconstruction_and_parseval(img, name):
-    bank = bank_by_name(name)
-    sub = dwt2(img, bank)
-    rec = idwt2(sub, bank)
+    sub = dwt2(img, name)
+    rec = idwt2(sub, name)
     assert rec.shape == img.shape
     assert np.abs(rec - img).max() <= 1e-10 * max(np.abs(img).max(), 1.0)
     # Odd sizes are padded by edge replication; the transform is orthonormal
@@ -58,8 +57,7 @@ def test_dwt_perfect_reconstruction_and_parseval(img, name):
 @settings(deadline=2000)
 @given(img=images, name=st.sampled_from(["haar", "db2", "db4"]))
 def test_diagonal_detail_equals_dwt2_cdd(img, name):
-    bank = bank_by_name(name)
-    assert_array_equal(_diagonal_detail(img, bank), dwt2(img, bank).cdd)
+    assert_array_equal(_diagonal_detail(img, name), dwt2(img, name).cdd)
 
 
 @settings(deadline=2000)
@@ -70,7 +68,7 @@ def test_diagonal_detail_equals_dwt2_cdd(img, name):
     lams=st.lists(st.floats(0.0, 8.0), min_size=2, max_size=6),
 )
 def test_detail_energy_non_increasing_in_threshold(img, name, shrink, lams):
-    sub = dwt2(log_domain(img), bank_by_name(name))
+    sub = dwt2(log_domain(img), name)
     energies = [
         sum(float(np.sum(shrink(band, lam) ** 2)) for band in (sub.chd, sub.cvd, sub.cdd))
         for lam in sorted(lams)

@@ -11,7 +11,7 @@ from despeckle.image import write_pgm
 from despeckle.metrics import detect_edges, full_report
 from despeckle.pipeline import calibrate, median_filter_homomorphic
 from despeckle.speckle import SpeckleSpec, apply_speckle
-from despeckle.wavelet import _diagonal_detail, bank_by_name, dwt2, idwt2
+from despeckle.wavelet import _diagonal_detail, dwt2, idwt2
 
 
 @pytest.mark.parametrize(
@@ -40,7 +40,7 @@ def test_no_thread_starts_at_any_size(phantom, tmp_path):
         assert cli.main(["metrics", clean, noisy, out]) == 0
     img = np.random.default_rng(30).uniform(1.0, 255.0, size=(1031, 515))
     assert len(_strips._bounds(img.shape[0], img[0].nbytes)) > 1
-    bank = bank_by_name("db4")
+    bank = "db4"
     idwt2(dwt2(img, bank), bank)
     full_report(img, img * 1.5, img)
     assert threading.active_count() == before
@@ -67,7 +67,7 @@ STRIP_CASES = [
 def test_results_do_not_depend_on_strip_size(monkeypatch, strip_bytes):
     rng = np.random.default_rng(32)
     images = [
-        (rng.uniform(0.0, 255.0, size=shape), bank_by_name(name)) for shape, name in STRIP_CASES
+        (rng.uniform(0.0, 255.0, size=shape), name) for shape, name in STRIP_CASES
     ]
 
     def run():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,3 +120,40 @@ def test_shrinker_ordering_and_monotonicity():
     for shrink in (hard_threshold, soft_threshold):
         ys = shrink(xs, lam)
         assert np.all(np.diff(ys) >= -1e-15)
+
+
+# Python numbers and numpy floating scalars are real; bools (np.True_
+# included), strings and None are not.
+NON_REAL = ["1", None, True, np.True_]
+NON_REAL_IDS = ["str", "None", "bool", "np_bool"]
+
+
+@pytest.mark.parametrize("shrink", [hard_threshold, soft_threshold])
+@pytest.mark.parametrize("lam", NON_REAL + [math.inf], ids=NON_REAL_IDS + ["inf"])
+def test_threshold_rejects_non_real_and_infinite(shrink, lam):
+    message = f"^threshold must be a non-negative number, got {re.escape(repr(lam))}$"
+    with pytest.raises(ValueError, match=message):
+        shrink(np.zeros(3), lam)
+
+
+@pytest.mark.parametrize("shrink", [hard_threshold, soft_threshold])
+@pytest.mark.parametrize("real", [np.float32, np.float64, int])
+def test_threshold_accepts_numpy_reals(shrink, real):
+    x = np.linspace(-2.0, 2.0, 9)
+    assert_array_equal(shrink(x, real(1)), shrink(x, 1.0))
+
+
+@pytest.mark.parametrize("delta_mad", NON_REAL, ids=NON_REAL_IDS)
+def test_universal_threshold_rejects_non_real_delta_mad(delta_mad):
+    message = f"^delta_mad must be a non-negative finite real, got {re.escape(repr(delta_mad))}$"
+    with pytest.raises(ValueError, match=message):
+        universal_threshold(delta_mad, 10)
+
+
+def test_universal_threshold_rejects_negative_delta_mad():
+    with pytest.raises(ValueError, match="^delta_mad must be a non-negative finite real, got -1.0$"):
+        universal_threshold(-1.0, 10)
+
+
+def test_universal_threshold_accepts_numpy_real_delta_mad():
+    assert universal_threshold(np.float32(0.5), 10) == universal_threshold(0.5, 10)
