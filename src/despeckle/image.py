@@ -172,9 +172,15 @@ def log_domain(img) -> np.ndarray:
 
 def exp_domain(img) -> np.ndarray:
     """Elementwise ``exp(pixel) - 1``, the inverse of :func:`log_domain`."""
+    return _exp_domain(img, None)
+
+
+def _exp_domain(img, out) -> np.ndarray:
+    """:func:`exp_domain` of ``img`` written to ``out``: a new array when
+    ``out`` is None, or ``img`` itself when the caller created ``img``."""
     arr = as_image(img)
     with np.errstate(over="ignore"):
-        out = np.exp(arr)
+        out = np.exp(arr, out=out)
     out -= 1.0
     if not np.all(np.isfinite(out)):
         raise OverflowError("exp_domain overflowed to non-finite values")

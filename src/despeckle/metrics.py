@@ -26,7 +26,7 @@ the comparison, so every edge map equals the one thresholded from
 ``np.hypot(ndimage.sobel(...), ndimage.sobel(...))`` bit for bit. FOM
 distances come from the feature transform of the ideal map (the nearest
 ideal pixel of every pixel), evaluated as ``sqrt(dr^2 + dc^2)`` at the
-detected pixels only.
+detected pixels only, a chunk of them at a time.
 
 :func:`full_report` composes the public figures. It checks ``block``,
 ``tau`` and ``alpha`` before the first figure runs, with the same checks
@@ -229,7 +229,9 @@ def _sobel_squares(arr: np.ndarray) -> np.ndarray:
 
 
 # Pixels per chunk of the pointwise Sobel magnitude, which holds about twenty
-# temporaries of this length.
+# temporaries of this length, and of the FOM distance gather, which holds
+# about six: both stay far below an image's size however many pixels a map
+# holds.
 _POINTS = 1 << 14
 
 
@@ -276,11 +278,15 @@ def nearest_edge_distances(detected: np.ndarray, ideal: np.ndarray) -> np.ndarra
         ~ideal, return_distances=False, return_indices=True
     )
     flat = np.flatnonzero(detected)
-    dr, dc = (
-        (coordinate.ravel()[flat] - own).astype(np.float64)
-        for coordinate, own in zip(nearest, np.divmod(flat, detected.shape[1]))
-    )
-    return np.sqrt(dr * dr + dc * dc)
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _POINTS):
+        chunk = flat[start : start + _POINTS]
+        dr, dc = (
+            (coordinate.ravel()[chunk] - own).astype(np.float64)
+            for coordinate, own in zip(nearest, np.divmod(chunk, detected.shape[1]))
+        )
+        np.sqrt(dr * dr + dc * dc, out=out[start : start + _POINTS])
+    return out
 
 
 def _check_alpha(alpha) -> None:

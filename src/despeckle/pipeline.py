@@ -34,7 +34,7 @@ import numpy as np
 
 from ._strips import _halo_strips
 from .fuzzy import control_step, scalarize
-from .image import _is_integer, _is_real, as_image, exp_domain, log_domain
+from .image import _exp_domain, _is_integer, _is_real, as_image, exp_domain, log_domain
 from .speckle import SpeckleSpec, apply_speckle
 from .thresholding import (
     ThresholdEstimate,
@@ -70,7 +70,8 @@ class PipelineConfig:
     shrink: str = "hard"
 
     def __post_init__(self):
-        if self.shrink not in SHRINKERS:
+        # no hashing of other types
+        if not isinstance(self.shrink, str) or self.shrink not in SHRINKERS:
             raise ValueError(f"shrink must be one of {tuple(SHRINKERS)}, got {self.shrink!r}")
         _check_wavelet(self.wavelet)  # reject unknown names eagerly
 
@@ -131,15 +132,22 @@ def _analyse(arr: np.ndarray, cfg: PipelineConfig) -> Subbands:
     return dwt2(log_domain(arr), cfg.wavelet)
 
 
-def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig) -> np.ndarray:
-    """Shrink the detail subbands at ``lam``, reconstruct and leave the log domain."""
+def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig, shrunk: tuple) -> np.ndarray:
+    """Shrink the detail subbands of ``sub`` at ``lam`` into ``shrunk``,
+    reconstruct and leave the log domain.
+
+    ``shrunk`` is three arrays of the blocks' shape: ``sub``'s own ``chd``,
+    ``cvd`` and ``cdd``, which are then overwritten, or buffers that keep
+    ``sub`` for another threshold. Either way only one block's shrinkage
+    temporaries are alive at a time, and idwt2's fresh output is
+    exponentiated in place.
+    """
     shrink = SHRINKERS[cfg.shrink]
-    # the shrunk details are only idwt2's argument, so they are freed before exp_domain runs
-    log_out = idwt2(
-        replace(sub, chd=shrink(sub.chd, lam), cvd=shrink(sub.cvd, lam), cdd=shrink(sub.cdd, lam)),
-        cfg.wavelet,
-    )
-    out = exp_domain(log_out)
+    for block, dst in zip((sub.chd, sub.cvd, sub.cdd), shrunk):
+        np.copyto(dst, shrink(block, lam))
+    chd, cvd, cdd = shrunk
+    log_out = idwt2(replace(sub, chd=chd, cvd=cvd, cdd=cdd), cfg.wavelet)
+    out = _exp_domain(log_out, log_out)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -224,6 +232,9 @@ def calibrate(
     step = 0.1 * lam0 if lam0 > 0 else 1.0
     details = (sub.chd, sub.cvd, sub.cdd)
     top = float(max(max(d.max(), -d.min()) for d in details))
+    # every iteration shrinks the same analysis, so the shrunk details go to
+    # buffers allocated once per call
+    shrunk = tuple(np.empty_like(d) for d in details)
     if cfg.shrink == "hard":
         # #(|d| > lam), counted without a full-size temporary
         def key(lam):
@@ -238,8 +249,8 @@ def calibrate(
     seen = {key(lam0)}  # keys of the outputs evaluated so far
     trace = []
     for _ in range(max_iter):
-        # clean is validated above and exp_domain checks the synthesis
-        e = scalarize(clean - _synthesise(sub, lam, cfg)).e
+        # clean is validated above and _synthesise checks its output
+        e = scalarize(clean - _synthesise(sub, lam, cfg, shrunk)).e
         de = e - (trace[-1].e if trace else 0.0)
         dlam = -step * control_step(e * scale, de * scale)
         trace.append(TraceStep(e=e, de=de, dlambda=dlam, lam=lam))
@@ -262,7 +273,9 @@ def despeckle(noisy, lambda_star: float, cfg: PipelineConfig | None = None) -> n
     ``lambda_star``: apply a calibrated threshold open-loop to a new image."""
     cfg = cfg or PipelineConfig()
     _check_threshold(lambda_star)
-    return _synthesise(_analyse(as_image(noisy), cfg), lambda_star, cfg)
+    sub = _analyse(as_image(noisy), cfg)
+    # the analysis is this call's own, so its details are shrunk in place
+    return _synthesise(sub, lambda_star, cfg, (sub.chd, sub.cvd, sub.cdd))
 
 
 def _check_kernel(kernel: int, shape) -> None:

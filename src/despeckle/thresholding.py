@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import _is_real
+from .image import _is_integer, _is_real
 
 __all__ = [
     "MAD_SCALE",
@@ -49,8 +49,8 @@ def mad_sigma(coeffs) -> float:
 
 def universal_threshold(delta_mad: float, n: int) -> ThresholdEstimate:
     """Universal threshold ``delta_mad * sqrt(2 ln n)`` over ``n`` samples."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    if not _is_integer(n) or n < 2:
+        raise ValueError(f"n must be >= 2, got {n!r}")
     if not _is_real(delta_mad) or not 0 <= delta_mad < math.inf:
         raise ValueError(f"delta_mad must be a non-negative finite real, got {delta_mad!r}")
     delta_mad = float(delta_mad)

@@ -29,7 +29,7 @@ tap order as the direct periodic convolution, so coefficients round
 identically.
 
 Each transform is one loop over blocks of half-size rows, so it
-allocates its output and two block buffers but no full-height
+allocates its output and a few block-sized buffers but no full-height
 intermediate. Analysis filters the rows of a block's input window (its
 rows plus the ``taps - 2`` rows after them) into the buffers, then their
 columns into the block's rows of ``ca``/``chd``/``cvd``/``cdd``; the
@@ -165,15 +165,22 @@ def _analyze_axis(
 
 
 def _synthesize_axis(
-    lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, out: np.ndarray
+    lo: np.ndarray,
+    hi: np.ndarray,
+    h: np.ndarray,
+    g: np.ndarray,
+    axis: int,
+    out: np.ndarray,
+    scratch: tuple,
 ) -> None:
     # out[2i + k] += lo[i] * h[k] + hi[i] * g[k] on windows carrying the
     # taps // 2 - 1 samples before the block: tap k adds to phase k % 2
-    # the window shifted by k // 2, in tap order.
+    # the window shifted by k // 2, in tap order. ``scratch`` holds two flat
+    # buffers of at least ``lo.size`` elements.
     half = out.shape[axis] // 2
     halo = lo.shape[axis] - half
     out.fill(0.0)
-    term, buf = np.empty(lo.shape), np.empty(lo.shape)
+    term, buf = (b[: lo.size].reshape(lo.shape) for b in scratch)
     for k in range(h.size):
         np.multiply(lo, h[k], out=term)
         np.multiply(hi, g[k], out=buf)
@@ -258,13 +265,17 @@ def idwt2(sub: Subbands, wavelet: str) -> np.ndarray:
     blocks = _bounds(half_rows, _BLOCKS_PER_STRIP * sub.ca[0].nbytes)
     span = 2 * max(s.stop - s.start for s in blocks)
     lo, hi = np.empty((span, half_cols)), np.empty((span, half_cols))
+    # the products of the column pass (span // 2 + halo rows) and of the row
+    # pass (span rows of half_cols + halo), shared by every block
+    size = max((span // 2 + halo) * half_cols, span * (half_cols + halo))
+    scratch = (np.empty(size), np.empty(size))
     full = np.empty((2 * half_rows, 2 * half_cols))
     for s in blocks:
         rows = 2 * (s.stop - s.start)
         for pair, out in (((sub.ca, sub.chd), lo), ((sub.cvd, sub.cdd), hi)):
             windows = (_window(band, 0, s.start - halo, s.stop) for band in pair)
-            _synthesize_axis(*windows, h, g, 0, out[:rows])
+            _synthesize_axis(*windows, h, g, 0, out[:rows], scratch)
         windows = (_window(band[:rows], 1, -halo, half_cols) for band in (lo, hi))
-        _synthesize_axis(*windows, h, g, 1, full[2 * s.start : 2 * s.stop])
+        _synthesize_axis(*windows, h, g, 1, full[2 * s.start : 2 * s.stop], scratch)
     rows, cols = sub.shape
     return full[:rows, :cols]

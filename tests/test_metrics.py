@@ -376,6 +376,19 @@ def test_nearest_distance_routes_agree(phantom):
         assert_array_equal(distances, _brute_distances(detected, ideal))
 
 
+@pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
+def test_nearest_distance_gathers_in_chunks(monkeypatch, density):
+    # chunks of 7 detected pixels: several of them, the last one partial
+    # when every one of the 23 * 31 pixels is detected
+    monkeypatch.setattr(metrics, "_POINTS", 7)
+    rng = np.random.default_rng(30)
+    detected = rng.random((23, 31)) < density
+    ideal = rng.random((23, 31)) < 0.05
+    ideal[11, 15] = True
+    assert detected.sum() > 2 * 7
+    assert_array_equal(nearest_edge_distances(detected, ideal), _brute_distances(detected, ideal))
+
+
 def test_nearest_distance_brute_matches_loop_oracle():
     rng = np.random.default_rng(29)
     detected = rng.random((10, 10)) < 0.3

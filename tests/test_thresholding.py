@@ -64,6 +64,18 @@ def test_universal_threshold_rejects_small_n():
         universal_threshold(1.0, 1)
 
 
+@pytest.mark.parametrize(
+    "n", ["10", 2.5, 10.0, None, True], ids=["str", "2.5", "10.0", "None", "True"]
+)
+def test_universal_threshold_rejects_non_integer_n(n):
+    with pytest.raises(ValueError, match=f"^n must be >= 2, got {re.escape(repr(n))}$"):
+        universal_threshold(1.0, n)
+
+
+def test_universal_threshold_accepts_numpy_integer_n():
+    assert universal_threshold(1.0, np.int64(10)) == universal_threshold(1.0, 10)
+
+
 def test_hard_threshold_cases():
     x = np.array([1.5, 3.0, -2.0, -3.0, 2.0])
     assert_array_equal(hard_threshold(x, 2.0), [0.0, 3.0, 0.0, -3.0, 0.0])
