@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tracemalloc
 
@@ -366,12 +367,17 @@ def _detail_magnitudes(noisy, cfg):
     return np.abs(np.concatenate([sub.chd.ravel(), sub.cvd.ravel(), sub.cdd.ravel()]))
 
 
-def _reference_calibrate(clean, spec, cfg, max_iter=100):
+def _reference_calibrate(clean, spec, cfg, max_iter=100, keyed_by_lambda=False):
     """Reference loop: the whole chain through despeckle on every
     iteration, with calibrate's gains, default epsilon, negated controller
     output and clamp to [0, max|d|], and its own bookkeeping of the previous
     error, the best threshold, the stop reason and which outputs were
-    evaluated (under hard shrinkage, the mask of surviving coefficients)."""
+    evaluated (the mask of surviving coefficients, under either shrinkage).
+    It also stalls six steps past its best error magnitude.
+
+    ``keyed_by_lambda`` runs the rule calibrate had before: soft outputs
+    told apart by the threshold itself, and no patience, so an oscillating
+    soft loop runs to max_iter. It is kept as an oracle for lambda*."""
     peak = float(np.abs(clean).max())
     noisy = apply_speckle(clean, spec)
     lam0 = initial_threshold(noisy, cfg).lam
@@ -379,11 +385,12 @@ def _reference_calibrate(clean, spec, cfg, max_iter=100):
     top = float(mags.max())
 
     def output_key(lam):
-        return (mags > lam).tobytes() if cfg.shrink == "hard" else lam
+        return lam if keyed_by_lambda and cfg.shrink == "soft" else (mags > lam).tobytes()
 
+    patience = math.inf if keyed_by_lambda else 6
     scale = 1.0 / peak
     step = 0.1 * lam0 if lam0 > 0 else 1.0
-    lam, eh, best_lam, best_me = lam0, 0.0, lam0, float("inf")
+    lam, eh, best_lam, best_me, since_best = lam0, 0.0, lam0, float("inf"), 0
     trace = []
     evaluated = []
     stop_reason = "max_iter"
@@ -395,13 +402,15 @@ def _reference_calibrate(clean, spec, cfg, max_iter=100):
         me = abs(e)
         trace.append(TraceStep(e, de, dlam, lam))
         if me < best_me:
-            best_me, best_lam = me, lam
+            best_me, best_lam, since_best = me, lam, 0
+        else:
+            since_best += 1
         eh = e
         if me <= 0.02 * peak:
             stop_reason = "converged"
             break
         next_lam = min(max(lam + dlam, 0.0), top)
-        if next_lam == lam or output_key(next_lam) in evaluated:
+        if next_lam == lam or output_key(next_lam) in evaluated or since_best >= patience:
             stop_reason = "stalled"
             break
         lam = next_lam
@@ -414,9 +423,13 @@ CALIBRATION_CASES = [
     ("gamma", 1, "hard", "haar", True),
     ("gamma", 2, "hard", "haar", False),
     ("rayleigh", 4, "hard", "haar", False),
-    ("rayleigh", 5, "soft", "db2", True),
+    ("gamma", 4, "soft", "db2", True),
+    # the third threshold keeps the second's survivors: the loop stalls there,
+    # where telling soft outputs apart by lambda would take two more steps
+    ("rayleigh", 5, "soft", "db2", False),
     ("exponential", 1, "soft", "db4", True),
-    # soft thresholds that never repeat: the loop runs to max_iter
+    # every step lowers lambda to a new survivor count and no smaller error:
+    # the loop stalls six steps past the seed
     ("gamma", 3, "soft", "haar", False),
 ]
 
@@ -433,6 +446,32 @@ def test_calibrate_matches_reference_loop(kind, seed, shrink, wavelet, clamps):
     assert trace_to_csv(result.trace) == trace_to_csv(expected.trace)
     assert result == expected
     assert result.lambda_star == best_lam
+
+
+# Haar soft inputs on which lambda oscillates between ever-new values, so
+# the lambda-keyed rule ran them to max_iter: (phantom size, kind, seed)
+OSCILLATING_SOFT = [
+    (64, "gamma", 3),
+    (64, "gamma", 4),
+    (64, "rayleigh", 4),
+    (64, "rayleigh", 6),
+    (64, "rayleigh", 7),
+    (97, "rayleigh", 1),
+    (97, "rayleigh", 2),
+    (97, "rayleigh", 6),
+]
+
+
+@pytest.mark.parametrize("n,kind,seed", OSCILLATING_SOFT)
+def test_calibrate_oscillating_soft_loop_stalls(n, kind, seed):
+    clean = make_phantom(n)
+    spec = SpeckleSpec(kind=kind, seed=seed)
+    cfg = PipelineConfig(wavelet="haar", shrink="soft")
+    result = calibrate(clean, spec, cfg)
+    assert result.stop_reason == "stalled" and result.iterations <= 7
+    oracle_lam, oracle = _reference_calibrate(clean, spec, cfg, keyed_by_lambda=True)
+    assert oracle.stop_reason == "max_iter"
+    assert result.lambda_star == oracle_lam
 
 
 @pytest.mark.parametrize("kind,seed,shrink,wavelet,clamps", CALIBRATION_CASES)
