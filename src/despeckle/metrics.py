@@ -28,6 +28,13 @@ distances come from the feature transform of the ideal map (the nearest
 ideal pixel of every pixel), evaluated as ``sqrt(dr^2 + dc^2)`` at the
 detected pixels only, a chunk of them at a time.
 
+ENL copies and reduces one band of tile rows at a time, each band at
+least a strip's bytes (see ``_strips``), into per-tile means and
+variances allocated once; a tile's figures do not depend on the band
+that holds it. A figure that overflows on finite pixels (a variance of
+gray levels above about 1e154, say) raises ``OverflowError`` naming the
+figure instead of returning inf, NaN or a wrong finite value.
+
 :func:`full_report` composes the public figures. It checks ``block``,
 ``tau`` and ``alpha`` before the first figure runs, with the same checks
 the figures make.
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._strips import _halo_strips
+from ._strips import _bounds, _halo_strips
 from .image import _is_integer, _is_real, as_image, subtract
 
 __all__ = [
@@ -85,19 +92,29 @@ class MetricsReport:
         return header + "\n" + row
 
 
+def _finite(figure: str, values):
+    """``values`` if all of them are finite; otherwise raise. The pixels are
+    finite, so only an overflow makes a figure infinite or NaN."""
+    if not np.all(np.isfinite(values)):
+        raise OverflowError(f"{figure} overflowed to a non-finite value")
+    return values
+
+
 def nmv_nv_nsd(img) -> tuple:
     """Population mean, variance, and standard deviation of an image."""
     arr = as_image(img)
-    mean = float(arr.mean())
-    var = float(arr.var())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = _finite("NMV", float(arr.mean()))
+        var = _finite("NV", float(arr.var()))
     return mean, var, math.sqrt(var)
 
 
 def msd(reference, candidate) -> float:
     """Mean squared difference between two equally sized images."""
-    diff = subtract(reference, candidate)
-    diff *= diff
-    return float(diff.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = subtract(reference, candidate)
+        diff *= diff
+        return _finite("MSD", float(diff.mean()))
 
 
 def _check_block(block) -> None:
@@ -118,14 +135,23 @@ def enl_blocked(img, block: int = 25) -> float:
     n_c = arr.shape[1] // block
     if n_r == 0 or n_c == 0:
         raise ValueError(f"image {arr.shape} smaller than one {block}x{block} block")
-    tiles = arr[: n_r * block, : n_c * block].reshape(n_r, block, n_c, block)
-    tiles = tiles.swapaxes(1, 2).reshape(n_r * n_c, block * block)
-    means = tiles.mean(axis=1)
-    variances = tiles.var(axis=1)
-    valid = variances > 0.0
-    if not valid.any():
-        raise ValueError(f"all {valid.size} tiles are constant; ENL undefined")
-    return float((means[valid] ** 2 / variances[valid]).mean())
+    # numpy reduces each row of an axis=1 mean or var on its own, so a
+    # tile's figures are the same in every band
+    means = np.empty(n_r * n_c)
+    variances = np.empty(n_r * n_c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for band in _bounds(n_r, n_c * block * block * arr.itemsize):
+            tiles = arr[band.start * block : band.stop * block, : n_c * block]
+            tiles = tiles.reshape(-1, block, n_c, block).swapaxes(1, 2).reshape(-1, block * block)
+            per_tile = slice(band.start * n_c, band.stop * n_c)
+            tiles.mean(axis=1, out=means[per_tile])
+            tiles.var(axis=1, out=variances[per_tile])
+        # an overflowed variance would drop its tile or turn its ratio into 0
+        _finite("ENL", variances)
+        valid = variances > 0.0
+        if not valid.any():
+            raise ValueError(f"all {valid.size} tiles are constant; ENL undefined")
+        return _finite("ENL", float((means[valid] ** 2 / variances[valid]).mean()))
 
 
 def deflection_ratio(candidate, stats_source) -> float:
@@ -137,9 +163,10 @@ def deflection_ratio(candidate, stats_source) -> float:
         raise ValueError(f"shape mismatch: {cand.shape} vs {np.shape(stats_source)}")
     if sd <= 0.0:
         raise ValueError("stats source has zero standard deviation")
-    z = cand - mean
-    z /= sd
-    return float(z.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = cand - mean
+        z /= sd
+        return _finite("DR", float(z.mean()))
 
 
 # Relative half-width of the band of squared Sobel magnitudes that np.hypot

@@ -189,6 +189,20 @@ def test_metrics_image_smaller_than_one_enl_tile_fails(tmp_path):
     assert proc.stderr.startswith("error: image (20, 20) smaller than one 25x25 block")
 
 
+def test_metrics_overflow_fails_naming_the_figure(tmp_path):
+    # finite F64 gray levels near 1e300, whose variance overflows float64
+    rng = np.random.default_rng(40)
+    paths = []
+    for name in ("clean", "noisy", "despeckled"):
+        path = tmp_path / f"{name}.f64"
+        path.write_bytes(write_f64((1.0 + rng.uniform(size=(64, 64))) * 1e300))
+        paths.append(path)
+    proc = run_cli("metrics", *paths)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: NV overflowed to a non-finite value\n"
+
+
 def _f64_with_nan_last_sample(pgm_bytes):
     return write_f64(read_pgm(pgm_bytes))[:-8] + np.float64(np.nan).tobytes()
 

@@ -21,7 +21,7 @@ from despeckle.metrics import (
 from despeckle.pipeline import despeckle
 from despeckle.speckle import SpeckleSpec, apply_speckle, generate_speckle
 
-from conftest import make_phantom
+from conftest import _brute_distances, make_phantom
 
 
 # ---------------------------------------------------------------- moments
@@ -57,6 +57,41 @@ def test_msd():
     assert msd(a, b) == msd(b, a)
     with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 2\) vs \(3, 2\)$"):
         msd(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+def _levels_near_1e160(seed, shape=(64, 64)):
+    # finite gray levels whose squares overflow float64
+    return (1.0 + np.random.default_rng(seed).uniform(size=shape)) * 1e160
+
+
+def _alternating_signs_1e160():
+    # 4x4 tiles of +-1e160 in a checkerboard: every tile's mean is exactly 0
+    # and its variance overflows, so its ratio would read 0
+    rows, cols = np.indices((8, 8))
+    return np.where((rows + cols) % 2 == 0, 1e160, -1e160)
+
+
+@pytest.mark.parametrize(
+    "figure, call",
+    [
+        ("NMV", lambda: nmv_nv_nsd(np.full((64, 64), 1e305))),
+        ("NV", lambda: nmv_nv_nsd(_levels_near_1e160(0))),
+        ("MSD", lambda: msd(_levels_near_1e160(0), _levels_near_1e160(1))),
+        ("ENL", lambda: enl_blocked(_levels_near_1e160(0), 16)),
+        # means of 1.5e154 whose squares overflow over variances that do not
+        ("ENL", lambda: enl_blocked(_levels_near_1e160(0) * 1e-6, 16)),
+        ("ENL", lambda: enl_blocked(_alternating_signs_1e160(), 4)),
+        # DR's statistics come from nmv_nv_nsd, which names the figure that
+        # overflowed; standardizing by a tiny NSD overflows DR itself
+        ("NV", lambda: deflection_ratio(_levels_near_1e160(0), _levels_near_1e160(1))),
+        ("DR", lambda: deflection_ratio(np.full((1, 2), 1e300), np.array([[0.0, 2e-10]]))),
+    ],
+    ids=["nmv", "nv", "msd", "enl", "enl-mean-squared", "enl-variance", "dr-stats", "dr"],
+)
+def test_figures_raise_on_overflow(figure, call):
+    # an overflowed figure must not come back as inf, NaN or a plausible 0.0
+    with pytest.raises(OverflowError, match=f"^{figure} overflowed to a non-finite value$"):
+        call()
 
 
 # ---------------------------------------------------------------- ENL
@@ -339,20 +374,6 @@ def test_fom_bounded_by_one():
         if not ideal.any():
             continue
         assert 0.0 <= pratt_fom(detected, ideal) <= 1.0
-
-
-def _brute_distances(detected, ideal):
-    """Oracle: exact pairwise distance from each detected pixel to every
-    ideal pixel, minimized, in chunks that bound the distance matrix."""
-    det_pts = np.argwhere(detected).astype(np.float64)
-    ideal_pts = np.argwhere(ideal).astype(np.float64)
-    out = np.empty(det_pts.shape[0], dtype=np.float64)
-    chunk = 1024
-    for start in range(0, det_pts.shape[0], chunk):
-        block = det_pts[start : start + chunk]
-        d2 = ((block[:, None, :] - ideal_pts[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + chunk] = np.sqrt(d2.min(axis=1))
-    return out
 
 
 def test_nearest_distance_routes_agree(phantom):

@@ -1,5 +1,6 @@
 """Property tests over arbitrary image shapes, even and odd, from single
-pixels to images that span several strips, and over arbitrary file bytes."""
+pixels to images that span several strips, over arbitrary edge maps, and
+over arbitrary file bytes."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,16 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from despeckle import _strips  # noqa: E402
+from conftest import _brute_distances  # noqa: E402
+from despeckle import _strips, metrics  # noqa: E402
 from despeckle.image import PgmError, log_domain, read_f64, read_pgm, write_f64, write_pgm  # noqa: E402
-from despeckle.metrics import _sobel_hypot, detect_edges  # noqa: E402
+from despeckle.metrics import (  # noqa: E402
+    _sobel_hypot,
+    detect_edges,
+    enl_blocked,
+    nearest_edge_distances,
+    pratt_fom,
+)
 from despeckle.pipeline import median_filter_homomorphic  # noqa: E402
 from despeckle.speckle import _RAYLEIGH_SCALE, KINDS, SpeckleSpec, generate_speckle  # noqa: E402
 from despeckle.thresholding import hard_threshold, soft_threshold  # noqa: E402
@@ -166,6 +174,86 @@ def test_median_equals_ndimage_oracle(img):
     logged = log_domain(img)
     expected = np.exp(ndimage.median_filter(logged, size=3, mode="nearest")) - 1.0
     assert median_filter_homomorphic(img, 3).tobytes() == expected.tobytes()
+
+
+def _enl_or_error(img, block):
+    """ENL, or the error message when every tile is constant."""
+    try:
+        return enl_blocked(img, block)
+    except ValueError as exc:
+        if "constant" not in str(exc):
+            raise
+        return str(exc)
+
+
+# block, full tile rows and full tile columns
+tile_grids = st.tuples(st.integers(2, 9), st.integers(1, 12), st.integers(1, 12))
+
+
+@settings(deadline=2000)
+@given(
+    grid=tile_grids,
+    band_rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.sampled_from([0, 2, 3]),
+)
+def test_enl_bands_equal_one_band(grid, band_rows, seed, levels):
+    block, n_r, n_c = grid
+    tile_row_bytes = n_c * block * block * 8
+    assume(n_r >= 2 * band_rows)
+    img = _image((n_r * block + block // 2, n_c * block + 1), seed, levels)
+    assert len(_strips._bounds(n_r, tile_row_bytes)) == 1
+    expected = _enl_or_error(img, block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_strips, "_STRIP_BYTES", band_rows * tile_row_bytes)
+        assert len(_strips._bounds(n_r, tile_row_bytes)) > 1
+        assert _enl_or_error(img, block) == expected
+
+
+@settings(deadline=2000)
+@given(
+    grid=tile_grids,
+    extra=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    levels=st.sampled_from([0, 2, 3]),
+)
+def test_enl_ignores_partial_tiles(grid, extra, seeds, levels):
+    block, n_r, n_c = grid
+    full = _image((n_r * block, n_c * block), seeds[0], levels)
+    rows, cols = (n_r * block + extra[0] % block, n_c * block + extra[1] % block)
+    padded = _image((rows, cols), seeds[1], levels)
+    padded[: full.shape[0], : full.shape[1]] = full
+    assert _enl_or_error(padded, block) == _enl_or_error(full, block)
+
+
+# Edge maps of one shape, single rows and single columns included.
+edge_maps = st.one_of(
+    st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    st.tuples(st.just(1), st.integers(1, 200)),
+    st.tuples(st.integers(1, 200), st.just(1)),
+).flatmap(lambda shape: st.tuples(hnp.arrays(bool, shape), hnp.arrays(bool, shape)))
+
+
+@settings(deadline=2000)
+@given(maps=edge_maps, points=st.integers(1, 8))
+def test_nearest_edge_distances_equal_brute_oracle(maps, points):
+    detected, ideal = maps
+    assume(ideal.any())
+    # chunks of a few detected pixels: several per map, the last one partial
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_POINTS", points)
+        distances = nearest_edge_distances(detected, ideal)
+    assert_array_equal(distances, _brute_distances(detected, ideal))
+
+
+@settings(deadline=2000)
+@given(maps=edge_maps, alpha=st.floats(1e-3, 1e3))
+def test_pratt_fom_lies_in_unit_interval(maps, alpha):
+    detected, ideal = maps
+    assume(ideal.any())
+    assert 0.0 <= pratt_fom(detected, ideal, alpha) <= 1.0
+    assert pratt_fom(ideal, ideal, alpha) == 1.0
+    assert pratt_fom(np.zeros_like(ideal), ideal, alpha) == 0.0
 
 
 file_shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)
