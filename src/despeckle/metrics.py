@@ -183,6 +183,12 @@ _TINY = float(np.finfo(np.float64).tiny)
 _HUGE = float(np.finfo(np.float64).max)
 
 
+def _band_floor(v: float) -> float:
+    # below the normal range a square's relative error is unbounded
+    lo = min(v, _HUGE) * (1.0 - _BAND)
+    return lo if lo >= _TINY else 0.0
+
+
 def _check_tau(tau) -> None:
     if not _is_real(tau) or not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
@@ -199,23 +205,20 @@ def detect_edges(img, tau: float = 0.2) -> np.ndarray:
         # every gradient of a constant image is exactly zero; this spares it
         # np.hypot at every pixel below
         return np.zeros(arr.shape, dtype=bool)
-    # The peak is the largest hypot among the pixels whose square could be
-    # the largest: every pixel when no square is normal. NaN squares (from
-    # gradients that overflowed both ways) are never ruled out.
-    floor = min(top, _HUGE) * (1.0 - _BAND) if top >= _TINY else 0.0
-    peak = _sobel_hypot(arr, np.flatnonzero(~(squares < floor))).max()
+    # The peak is the largest hypot among the pixels whose square is not below
+    # the top square's band: every pixel when no square is normal. NaN squares
+    # (from gradients that overflowed both ways) are never ruled out.
+    peak = _sobel_hypot(arr, np.flatnonzero(~(squares < _band_floor(top)))).max()
     if peak == 0.0:
         return np.zeros(arr.shape, dtype=bool)
-    # Squares above ``hi`` are edges and squares below ``lo`` are not; hypot
+    # Squares above ``hi`` are edges and squares below the band are not; hypot
     # decides the rest, which holds the infinite squares and those below the
     # normal range wherever the threshold leaves them either way.
     threshold = float(tau * peak)
     t2 = threshold * threshold  # Python floats overflow to inf silently
     hi = max(t2, _TINY) * (1.0 + _BAND)
-    lo = min(t2, _HUGE) * (1.0 - _BAND)
     edges = squares > hi
-    # below the normal range a square's relative error is unbounded
-    decided = squares < (lo if lo >= _TINY else 0.0)
+    decided = squares < _band_floor(t2)
     decided |= edges
     band = np.flatnonzero(~decided)
     edges.flat[band] = _sobel_hypot(arr, band) >= threshold

@@ -138,9 +138,9 @@ def trace_to_csv(trace) -> str:
     return buf.getvalue()
 
 
-def _analyse(arr: np.ndarray, cfg: PipelineConfig) -> Subbands:
-    """Log-domain wavelet coefficients of a validated image."""
-    return dwt2(log_domain(arr), cfg.wavelet)
+def _analyse(img, cfg: PipelineConfig) -> Subbands:
+    """Log-domain wavelet coefficients of ``img``, which log_domain checks."""
+    return dwt2(log_domain(img), cfg.wavelet)
 
 
 def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig, shrunk: tuple) -> np.ndarray:
@@ -182,8 +182,8 @@ def initial_threshold(img, cfg: PipelineConfig | None = None) -> ThresholdEstima
     at about half the cost of the full analysis.
     """
     cfg = cfg or PipelineConfig()
-    arr = as_image(img)
-    return _seed_threshold(_diagonal_detail(log_domain(arr), cfg.wavelet), arr.shape)
+    log = log_domain(img)
+    return _seed_threshold(_diagonal_detail(log, cfg.wavelet), log.shape)
 
 
 def calibrate(
@@ -283,7 +283,7 @@ def despeckle(noisy, lambda_star: float, cfg: PipelineConfig | None = None) -> n
     ``lambda_star``: apply a calibrated threshold open-loop to a new image."""
     cfg = cfg or PipelineConfig()
     _check_threshold(lambda_star)
-    sub = _analyse(as_image(noisy), cfg)
+    sub = _analyse(noisy, cfg)
     # the analysis is this call's own, so its details are shrunk in place
     return _synthesise(sub, lambda_star, cfg, (sub.chd, sub.cvd, sub.cdd))
 

@@ -49,7 +49,8 @@ class SpeckleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        # no hashing of other types
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"unknown speckle kind {self.kind!r}; supported: {KINDS}")
         if not _is_integer(self.looks) or self.looks < 1:
             raise ValueError(f"looks must be a positive integer, got {self.looks!r}")

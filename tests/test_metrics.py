@@ -250,6 +250,21 @@ def _scaled_levels(scale, low=0, high=4):
     return rng.integers(low, high, size=(23, 29)) * scale
 
 
+def _top_square_just_normal():
+    """Levels scaled so that the largest square lies in the one range where
+    the peak's candidates differ between a floor of ``top * (1 - _BAND)``
+    and a floor of 0: [_TINY, _TINY / (1 - _BAND)). The scale steps through
+    adjacent floats from ``sqrt(_TINY / top)``."""
+    levels = _scaled_levels(1.0)
+    scale = float(np.sqrt(metrics._TINY / metrics._sobel_squares(levels).max()))
+    for _ in range(1000):
+        top = metrics._sobel_squares(levels * scale).max()
+        if metrics._TINY <= top < metrics._TINY / (1.0 - metrics._BAND):
+            return levels * scale
+        scale = float(np.nextafter(scale, np.inf if top < metrics._TINY else -np.inf))
+    raise AssertionError("no scale puts the largest square just above _TINY")
+
+
 @pytest.mark.parametrize(
     "img",
     [
@@ -259,6 +274,8 @@ def _scaled_levels(scale, low=0, high=4):
         _scaled_levels(1e160),
         _scaled_levels(1e-154),
         _scaled_levels(1e154),
+        # the largest square just above the smallest normal
+        _top_square_just_normal(),
         # gradients that overflow to +-inf and NaN in the Sobel sums
         _scaled_levels(1.5e308, -1, 2),
         # stripes whose every edge pixel ties at the peak, and a peak tied
@@ -270,7 +287,18 @@ def _scaled_levels(scale, low=0, high=4):
         np.full((6, 7), 5.0),
         np.eye(8) * 1e-300,
     ],
-    ids=["1e-160", "1e160", "1e-154", "1e154", "1e308", "stripes", "tent", "constant", "subnormal"],
+    ids=[
+        "1e-160",
+        "1e160",
+        "1e-154",
+        "1e154",
+        "tiny-top",
+        "1e308",
+        "stripes",
+        "tent",
+        "constant",
+        "subnormal",
+    ],
 )
 @pytest.mark.parametrize("tau", [1e-300, 0.2, 0.5, 0.999])
 def test_detect_edges_at_extreme_levels_matches_oracle(img, tau):

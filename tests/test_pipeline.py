@@ -1,5 +1,4 @@
 import json
-import math
 import re
 import tracemalloc
 
@@ -9,13 +8,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import despeckle.pipeline as pipeline_mod
 import despeckle.wavelet as wavelet_mod
-from despeckle.fuzzy import control_step, scalarize
-from despeckle.image import exp_domain, log_domain, subtract
+from despeckle.fuzzy import control_step
+from despeckle.image import exp_domain, log_domain
 from despeckle.metrics import deflection_ratio, enl_blocked, full_report, msd, nmv_nv_nsd
 from despeckle.pipeline import (
     CalibrationResult,
     PipelineConfig,
-    TraceStep,
     calibrate,
     despeckle,
     initial_threshold,
@@ -27,7 +25,7 @@ from despeckle.speckle import SpeckleSpec, apply_speckle
 from despeckle.thresholding import hard_threshold, mad_sigma, soft_threshold, universal_threshold
 from despeckle.wavelet import Subbands, dwt2, idwt2
 
-from conftest import make_phantom
+from conftest import _detail_magnitudes, _reference_calibrate, make_phantom
 
 
 # ---------------------------------------------------------------- despeckle
@@ -156,6 +154,25 @@ def test_initial_threshold_tracks_log_noise_level():
     est = initial_threshold(img)
     subband_std = float(dwt2(np.log(img + 1.0), "haar").cdd.std())
     assert est.delta_mad == pytest.approx(subband_std, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "img, message",
+    [
+        (np.full(9, 10.0), r"^image must be a non-empty 2-D array, got shape \(9,\)$"),
+        (np.where(np.eye(4), np.nan, 10.0), "^image contains non-finite pixel values$"),
+        (np.where(np.eye(4), -1.0, 10.0), "^log_domain requires non-negative pixels$"),
+    ],
+    ids=["1-D", "NaN", "negative"],
+)
+@pytest.mark.parametrize(
+    "stage",
+    [lambda img: despeckle(img, 1.0), initial_threshold],
+    ids=["despeckle", "initial_threshold"],
+)
+def test_chain_rejects_bad_images(stage, img, message):
+    with pytest.raises(ValueError, match=message):
+        stage(img)
 
 
 def test_initial_threshold_rejects_too_small_image():
@@ -361,62 +378,6 @@ def test_trace_csv_round_trip():
     assert float(rows[0][4]) == result.trace[0].lam
 
 
-def _detail_magnitudes(noisy, cfg):
-    """|d| over the three detail blocks of the log image, computed apart from calibrate."""
-    sub = dwt2(log_domain(noisy), cfg.wavelet)
-    return np.abs(np.concatenate([sub.chd.ravel(), sub.cvd.ravel(), sub.cdd.ravel()]))
-
-
-def _reference_calibrate(clean, spec, cfg, max_iter=100, keyed_by_lambda=False):
-    """Reference loop: the whole chain through despeckle on every
-    iteration, with calibrate's gains, default epsilon, negated controller
-    output and clamp to [0, max|d|], and its own bookkeeping of the previous
-    error, the best threshold, the stop reason and which outputs were
-    evaluated (the mask of surviving coefficients, under either shrinkage).
-    It also stalls six steps past its best error magnitude.
-
-    ``keyed_by_lambda`` runs the rule calibrate had before: soft outputs
-    told apart by the threshold itself, and no patience, so an oscillating
-    soft loop runs to max_iter. It is kept as an oracle for lambda*."""
-    peak = float(np.abs(clean).max())
-    noisy = apply_speckle(clean, spec)
-    lam0 = initial_threshold(noisy, cfg).lam
-    mags = _detail_magnitudes(noisy, cfg)
-    top = float(mags.max())
-
-    def output_key(lam):
-        return lam if keyed_by_lambda and cfg.shrink == "soft" else (mags > lam).tobytes()
-
-    patience = math.inf if keyed_by_lambda else 6
-    scale = 1.0 / peak
-    step = 0.1 * lam0 if lam0 > 0 else 1.0
-    lam, eh, best_lam, best_me, since_best = lam0, 0.0, lam0, float("inf"), 0
-    trace = []
-    evaluated = []
-    stop_reason = "max_iter"
-    for _ in range(max_iter):
-        evaluated.append(output_key(lam))
-        e = scalarize(subtract(clean, despeckle(noisy, lam, cfg))).e
-        de = e - eh
-        dlam = -(step * control_step(e * scale, de * scale))
-        me = abs(e)
-        trace.append(TraceStep(e, de, dlam, lam))
-        if me < best_me:
-            best_me, best_lam, since_best = me, lam, 0
-        else:
-            since_best += 1
-        eh = e
-        if me <= 0.02 * peak:
-            stop_reason = "converged"
-            break
-        next_lam = min(max(lam + dlam, 0.0), top)
-        if next_lam == lam or output_key(next_lam) in evaluated or since_best >= patience:
-            stop_reason = "stalled"
-            break
-        lam = next_lam
-    return best_lam, CalibrationResult(stop_reason, tuple(trace))
-
-
 # (speckle kind, seed, shrink, wavelet, whether lambda touches 0 or max|d| on
 # the 64^2 phantom)
 CALIBRATION_CASES = [
@@ -578,6 +539,19 @@ def test_working_set_is_bounded(spec, stage, images):
     finally:
         tracemalloc.stop()
     assert peak / noisy.nbytes <= images
+
+
+def test_idwt2_working_set_is_bounded():
+    # calibrate's synthesis at 256^2 haar, one block: the output, the block
+    # buffers and one pass's two tap products (3.006 output images measured)
+    sub = dwt2(log_domain(apply_speckle(make_phantom(256), GAMMA3)), "haar")
+    tracemalloc.start()
+    try:
+        out = idwt2(sub, "haar")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / out.nbytes <= 3.16
 
 
 @pytest.mark.parametrize("shrink", ["hard", "soft"])

@@ -1,6 +1,6 @@
 """Property tests over arbitrary image shapes, even and odd, from single
-pixels to images that span several strips, over arbitrary edge maps, and
-over arbitrary file bytes."""
+pixels to images that span several strips, over arbitrary edge maps, over
+the calibration loop's inputs, and over arbitrary file bytes."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,9 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from conftest import _brute_distances  # noqa: E402
+from conftest import _brute_distances, _detail_magnitudes, _reference_calibrate  # noqa: E402
 from despeckle import _strips, metrics  # noqa: E402
+from despeckle.fuzzy import scalarize  # noqa: E402
 from despeckle.image import PgmError, log_domain, read_f64, read_pgm, write_f64, write_pgm  # noqa: E402
 from despeckle.metrics import (  # noqa: E402
     _sobel_hypot,
@@ -22,8 +23,21 @@ from despeckle.metrics import (  # noqa: E402
     nearest_edge_distances,
     pratt_fom,
 )
-from despeckle.pipeline import median_filter_homomorphic  # noqa: E402
-from despeckle.speckle import _RAYLEIGH_SCALE, KINDS, SpeckleSpec, generate_speckle  # noqa: E402
+from despeckle.pipeline import (  # noqa: E402
+    PipelineConfig,
+    calibrate,
+    despeckle,
+    initial_threshold,
+    median_filter_homomorphic,
+    trace_to_csv,
+)
+from despeckle.speckle import (  # noqa: E402
+    _RAYLEIGH_SCALE,
+    KINDS,
+    SpeckleSpec,
+    apply_speckle,
+    generate_speckle,
+)
 from despeckle.thresholding import hard_threshold, soft_threshold  # noqa: E402
 from despeckle.wavelet import _diagonal_detail, dwt2, idwt2  # noqa: E402
 
@@ -254,6 +268,61 @@ def test_pratt_fom_lies_in_unit_interval(maps, alpha):
     assert 0.0 <= pratt_fom(detected, ideal, alpha) <= 1.0
     assert pratt_fom(ideal, ideal, alpha) == 1.0
     assert pratt_fom(np.zeros_like(ideal), ideal, alpha) == 0.0
+
+
+# Clean references 2-40 px a side whose diagonal detail block holds at least
+# the two coefficients the seed needs (one side of 3 or more); not constant,
+# so the peak is positive.
+clean_references = st.builds(
+    lambda shape, seed, levels: _image(shape, seed, levels),
+    st.tuples(st.integers(2, 40), st.integers(3, 40)).flatmap(
+        lambda shape: st.sampled_from([shape, shape[::-1]])
+    ),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 2, 3]),
+).filter(lambda img: img.min() < img.max())
+
+
+@settings(deadline=2000)
+@given(
+    clean=clean_references,
+    kind=st.sampled_from(KINDS),
+    looks=st.integers(1, 4),
+    seed=st.integers(0, 2**64 - 1),
+    cfg=st.builds(
+        PipelineConfig, st.sampled_from(["haar", "db2", "db4"]), st.sampled_from(["hard", "soft"])
+    ),
+    # a multiple of the peak, or the default 2%; above about 1 the loop
+    # converges at the seed
+    epsilon=st.one_of(st.none(), st.floats(1e-4, 2.0)),
+    max_iter=st.integers(1, 30),
+)
+def test_calibrate_equals_reference_loop(clean, kind, looks, seed, cfg, epsilon, max_iter):
+    spec = SpeckleSpec(kind=kind, looks=looks, seed=seed)
+    if epsilon is not None:
+        epsilon *= float(clean.max())
+    result = calibrate(clean, spec, cfg, epsilon, max_iter)
+    best_lam, expected = _reference_calibrate(clean, spec, cfg, max_iter, epsilon)
+    assert trace_to_csv(result.trace) == trace_to_csv(expected.trace)
+    assert result.stop_reason == expected.stop_reason
+    assert result.lambda_star == best_lam
+
+    noisy = apply_speckle(clean, spec)
+    lam0 = initial_threshold(noisy, cfg).lam
+    top = float(_detail_magnitudes(noisy, cfg).max())
+    # the seed is the universal threshold, which may lie above max|d| on
+    # small images; every later threshold is clamped to [0, max|d|]
+    assert result.trace[0].lam == lam0 >= 0.0
+    assert all(0.0 <= step.lam <= top for step in result.trace[1:])
+
+    def error(lam):
+        return abs(scalarize(clean - despeckle(noisy, lam, cfg)).e)
+
+    assert error(result.lambda_star) <= error(lam0)
+    epsilon = 0.02 * float(clean.max()) if epsilon is None else epsilon
+    assert result.iterations <= max_iter
+    assert result.converged == (result.trace[-1].me <= epsilon)
+    assert result.stop_reason != "max_iter" or result.iterations == max_iter
 
 
 file_shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)

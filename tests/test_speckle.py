@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from despeckle.metrics import enl_blocked
-from despeckle.speckle import SpeckleSpec, _row_states, apply_speckle, generate_speckle
+from despeckle.speckle import KINDS, SpeckleSpec, _row_states, apply_speckle, generate_speckle
 
 
 @pytest.mark.parametrize(
@@ -125,6 +125,19 @@ def test_spec_accepts_numpy_integers_and_rejects_bool():
         SpeckleSpec(looks=True)
     with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer, got True"):
         SpeckleSpec(seed=True)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [np.array("gamma"), np.array(["gamma", "rayleigh"]), None, ["gamma"]],
+    ids=["0-d array", "2-element array", "None", "list"],
+)
+def test_spec_rejects_non_string_kind(kind):
+    # a 0-d array equals "gamma" but does not hash, and a longer one compares
+    # elementwise, so both are rejected before the membership test
+    message = f"unknown speckle kind {repr(kind)}; supported: {KINDS}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SpeckleSpec(kind=kind)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
