@@ -63,6 +63,14 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _finite(figure: str, values):
+    """``values`` if all of them are finite; otherwise raise. The pixels are
+    finite, so only an overflow makes a figure infinite or NaN."""
+    if not np.all(np.isfinite(values)):
+        raise OverflowError(f"{figure} overflowed to a non-finite value")
+    return values
+
+
 def _payload(data: bytes, start: int, need: int) -> bytes:
     """The ``need`` sample bytes at ``start``, which must end ``data`` exactly."""
     payload = data[start : start + need]
@@ -124,7 +132,8 @@ def write_pgm(img, maxval: int = 255) -> bytes:
     if maxval not in (255, 65535):
         raise ValueError(f"maxval must be 255 or 65535, got {maxval}")
     arr = as_image(img)
-    quantized = np.rint(np.clip(arr, 0.0, float(maxval)))
+    quantized = np.clip(arr, 0.0, float(maxval))
+    np.rint(quantized, out=quantized)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{int(maxval)}\n".encode("ascii")
     dtype = "u1" if maxval == 255 else ">u2"
     return header + quantized.astype(dtype).tobytes()

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._strips import _bounds, _halo_strips
-from .image import _is_integer, _is_real, as_image, subtract
+from .image import _finite, _is_integer, _is_real, as_image, subtract
 
 __all__ = [
     "MetricsReport",
@@ -90,14 +90,6 @@ class MetricsReport:
             f"{self.nsd:>10.2f} {self.enl:>10.4f} {self.dr:>10.4f} {self.fom:>8.4f}"
         )
         return header + "\n" + row
-
-
-def _finite(figure: str, values):
-    """``values`` if all of them are finite; otherwise raise. The pixels are
-    finite, so only an overflow makes a figure infinite or NaN."""
-    if not np.all(np.isfinite(values)):
-        raise OverflowError(f"{figure} overflowed to a non-finite value")
-    return values
 
 
 def nmv_nv_nsd(img) -> tuple:

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._strips import _halo_strips
 from .fuzzy import control_step, scalarize
-from .image import _exp_domain, _is_integer, _is_real, as_image, exp_domain, log_domain
+from .image import _exp_domain, _finite, _is_integer, _is_real, as_image, exp_domain, log_domain
 from .speckle import SpeckleSpec, apply_speckle
 from .thresholding import (
     ThresholdEstimate,
@@ -365,7 +365,8 @@ def lee_filter(noisy, kernel: int = 5, noise_var_ratio: float = 1.0 / 3.0) -> np
     ``noise_var_ratio`` is the speckle variance (1/L for L-look gamma
     speckle). Per pixel, with local window mean ``m`` and variance ``v``:
     ``gain = max(v - m^2 * ratio, 0) / v`` (0 where ``v`` is 0) and
-    ``out = m + gain * (x - m)``.
+    ``out = m + gain * (x - m)``. Raises ``OverflowError`` when a local
+    statistic overflows.
     """
     from scipy import ndimage
 
@@ -374,8 +375,22 @@ def lee_filter(noisy, kernel: int = 5, noise_var_ratio: float = 1.0 / 3.0) -> np
     if not _is_real(noise_var_ratio) or not 0 <= noise_var_ratio < math.inf:
         raise ValueError(f"noise_var_ratio must be a non-negative real, got {noise_var_ratio!r}")
     mean = ndimage.uniform_filter(arr, size=kernel, mode="nearest")
-    mean_sq = ndimage.uniform_filter(arr * arr, size=kernel, mode="nearest")
-    var = np.maximum(mean_sq - mean * mean, 0.0)
-    numerator = np.maximum(var - mean * mean * noise_var_ratio, 0.0)
-    gain = np.divide(numerator, var, out=np.zeros_like(var), where=var > 0.0)
-    return mean + gain * (arr - mean)
+    # one scratch array holds arr^2, then mean^2, the numerator and the gain
+    with np.errstate(over="ignore", invalid="ignore"):
+        scratch = np.multiply(arr, arr)
+        var = ndimage.uniform_filter(scratch, size=kernel, mode="nearest")
+        np.multiply(mean, mean, out=scratch)
+        var -= scratch
+        # an overflowed local mean or mean of squares leaves a non-finite
+        # variance, whose gain would silently read 0 or NaN
+        _finite("Lee local variance", var)
+    np.maximum(var, 0.0, out=var)
+    scratch *= noise_var_ratio
+    np.subtract(var, scratch, out=scratch)
+    np.maximum(scratch, 0.0, out=scratch)
+    # where var is 0 the numerator is +0.0 already, the gain there
+    np.divide(scratch, var, out=scratch, where=var > 0.0)
+    np.subtract(arr, mean, out=var)
+    scratch *= var
+    mean += scratch
+    return mean

@@ -15,9 +15,10 @@ Analysis splits an image into four half-size blocks:
 * ``cvd`` -- vertical detail (row-highpass, column-lowpass),
 * ``cdd`` -- diagonal detail (high/high).
 
-Odd-sized inputs (including single rows and columns) are padded by edge
-replication to the next even size and cropped back on synthesis; the
-pre-pad shape is recorded in :class:`Subbands`.
+An odd axis (a single row or column included) is analysed as if one
+replicated edge sample made it even: :func:`_window` reads the last
+sample in its place, with no padded copy of the image. Synthesis crops
+the extra sample off again; :class:`Subbands` records the image's shape.
 
 Each axis is filtered in polyphase form: with periodic extension,
 lowpass output ``i`` is ``sum_k h[k] * x[(2i + k) mod n]``, so tap ``k``
@@ -38,10 +39,10 @@ columns into the block's rows of ``ca``/``chd``/``cvd``/``cdd``; the
 next block filters the shared halo rows again. Synthesis filters the
 columns of the block's rows of the four blocks (plus the
 ``taps // 2 - 1`` rows before them) into the buffers, then their rows
-into the block's rows of the output. :func:`_window` owns the periodic
-boundary: it hands a pass its samples plus the halo its taps reach, a
-view when they lie inside the array and a wrapped copy otherwise (also
-on axes shorter than the halo). A block is an eighth of a cache-sized
+into the block's rows of the output. :func:`_window` owns the boundary:
+it hands a pass its samples plus the halo its taps reach, a view when
+they lie inside the array and a wrapped copy otherwise (also on axes
+shorter than the halo). A block is an eighth of a cache-sized
 strip (see ``_strips``), so its input, products and outputs stay in
 cache across all taps where a whole-array pass streams 8-16 MiB arrays
 through memory once per tap. Each block writes a disjoint part of a
@@ -117,7 +118,7 @@ def _check_wavelet(name) -> tuple:
 
 @dataclass(frozen=True)
 class Subbands:
-    """Four equally sized coefficient blocks and the pre-pad image shape."""
+    """Four equally sized coefficient blocks and the analysed image's shape."""
 
     ca: np.ndarray
     chd: np.ndarray
@@ -141,12 +142,16 @@ def _along(axis: int, index) -> tuple:
     return (index, slice(None)) if axis == 0 else (slice(None), index)
 
 
-def _window(x: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
+def _window(x: np.ndarray, axis: int, start: int, stop: int, even: bool = False) -> np.ndarray:
     """Samples ``start`` to ``stop - 1`` along ``axis`` of the periodic
-    extension of ``x``: a view when they lie inside ``x``, else a copy."""
-    if 0 <= start and stop <= x.shape[axis]:
+    extension of ``x``: a view when they lie inside ``x``, else a copy.
+    With ``even`` (analysis), an odd axis wraps over ``n + 1`` samples,
+    and the index ``n``, one past the end, reads the edge sample ``n - 1``."""
+    n = x.shape[axis]
+    if 0 <= start and stop <= n:
         return x[_along(axis, slice(start, stop))]
-    return np.take(x, np.arange(start, stop), axis=axis, mode="wrap")
+    index = np.arange(start, stop) % (n + n % 2 if even else n)
+    return np.take(x, index, axis=axis, mode="clip")
 
 
 def _analyze_axis(
@@ -185,14 +190,6 @@ def _synthesize_axis(
         out[_along(axis, slice(k % 2, None, 2))] += term[_along(axis, slice(shift, shift + half))]
 
 
-def _even(x: np.ndarray) -> np.ndarray:
-    """``x`` padded by edge replication to even dimensions."""
-    rows, cols = x.shape
-    if rows % 2 or cols % 2:
-        x = np.pad(x, ((0, rows % 2), (0, cols % 2)), mode="edge")
-    return x
-
-
 # Blocks of half-size rows hold an eighth of a strip each (see the module
 # docstring): at 2048x2048 db4 on a shared 2-CPU machine, dwt2 took a
 # median 119 ms against 140 ms with quarter-strip and 137 ms with
@@ -201,13 +198,13 @@ _BLOCKS_PER_STRIP = 8
 
 
 def _analyze(x: np.ndarray, bank: tuple, lowpass: bool) -> tuple:
-    """Blocks ``(ca, chd, cvd, cdd)`` of an even-sized image, where
-    half-size rows ``s`` read input rows ``2 * s.start`` to
-    ``2 * s.stop + taps - 3``. With ``lowpass`` False the lowpass outputs
-    are skipped: only ``cdd`` is computed, and the others are None."""
+    """Blocks ``(ca, chd, cvd, cdd)`` of an image (odd axes extended by one
+    replicated sample); half-size rows ``s`` read input rows ``2 * s.start``
+    to ``2 * s.stop + taps - 3``. With ``lowpass`` False only ``cdd`` is
+    computed, and the others are None."""
     h, g = bank
-    half_rows, half_cols = x.shape[0] // 2, x.shape[1] // 2
-    blocks = _bounds(half_rows, _BLOCKS_PER_STRIP * x[0].nbytes // 2)
+    half_rows, half_cols = (x.shape[0] + 1) // 2, (x.shape[1] + 1) // 2
+    blocks = _bounds(half_rows, _BLOCKS_PER_STRIP * half_cols * x.itemsize)
     span = 2 * max(s.stop - s.start for s in blocks) + h.size - 2
     # Here and in idwt2 the buffers come before the outputs and serve every
     # block: allocated per block after the outputs, they raised the minor
@@ -216,17 +213,17 @@ def _analyze(x: np.ndarray, bank: tuple, lowpass: bool) -> tuple:
     hi = np.empty((span, half_cols))
     cdd = np.empty((half_rows, half_cols))
     ca, chd, cvd = (np.empty((half_rows, half_cols)) if lowpass else None for _ in range(3))
-    cols = x.shape[1] + h.size - 2
+    cols = 2 * half_cols + h.size - 2
     for s in blocks:
         r0, rows = 2 * s.start, 2 * (s.stop - s.start) + h.size - 2
-        # Rows past the last one wrap to the first. Filtering them apart
-        # keeps the wrapped copy halo-sized: a whole-block copy, copied again
-        # for the column halo, made repeated 256x256 db4 dwt2 calls fault
-        # 233 pages each and run about 35% slower.
+        # Rows past the last one (after an odd image's replicated edge row)
+        # wrap to the first. Filtering them apart keeps the copy halo-sized:
+        # a whole-block copy, copied again for the column halo, made repeated
+        # 256x256 db4 dwt2 calls fault 233 pages each and run about 35% slower.
         inside = min(rows, x.shape[0] - r0)
         for a, b in ((0, inside), (inside, rows)):
             if a < b:
-                w = _window(_window(x, 0, r0 + a, r0 + b), 1, 0, cols)
+                w = _window(_window(x, 0, r0 + a, r0 + b, even=True), 1, 0, cols, even=True)
                 _analyze_axis(w, h, g, 1, lo if lo is None else lo[a:b], hi[a:b])
         if lowpass:
             _analyze_axis(lo[:rows], h, g, 0, ca[s], chd[s])
@@ -238,23 +235,25 @@ def _analyze(x: np.ndarray, bank: tuple, lowpass: bool) -> tuple:
 
 def dwt2(img, wavelet: str) -> Subbands:
     """One separable analysis level of the named ``wavelet`` with periodic
-    extension; odd sizes are padded by edge replication."""
+    extension; an odd axis is extended by one replicated edge sample."""
     x = as_image(img)
-    ca, chd, cvd, cdd = _analyze(_even(x), _check_wavelet(wavelet), lowpass=True)
+    ca, chd, cvd, cdd = _analyze(x, _check_wavelet(wavelet), lowpass=True)
     return Subbands(ca=ca, chd=chd, cvd=cvd, cdd=cdd, shape=x.shape)
 
 
 def _diagonal_detail(x: np.ndarray, wavelet: str) -> np.ndarray:
     """``dwt2(x, wavelet).cdd`` of a validated image and a supported
     wavelet name, without the other three blocks."""
-    return _analyze(_even(x), _BANKS[wavelet], lowpass=False)[3]
+    return _analyze(x, _BANKS[wavelet], lowpass=False)[3]
 
 
 def idwt2(sub: Subbands, wavelet: str) -> np.ndarray:
     """Exact synthesis inverse of :func:`dwt2` with the same ``wavelet``,
-    cropped back to the pre-pad shape. Half-size rows ``s`` of the blocks,
-    read with the ``taps // 2 - 1`` rows before them, make output rows
-    ``2 * s.start`` to ``2 * s.stop - 1``."""
+    cropped to ``sub.shape``. Half-size rows ``s`` of the blocks, read with
+    the ``taps // 2 - 1`` rows before them, make output rows
+    ``2 * s.start`` to ``2 * s.stop - 1``. On an odd shape the result is
+    a view of the even-sized synthesis, one row or column larger, which
+    saves an exact-size copy."""
     h, g = _check_wavelet(wavelet)
     half_rows, half_cols = sub.ca.shape
     halo = h.size // 2 - 1

@@ -203,6 +203,19 @@ def test_metrics_overflow_fails_naming_the_figure(tmp_path):
     assert proc.stderr == "error: NV overflowed to a non-finite value\n"
 
 
+def test_baseline_lee_overflow_fails_naming_the_statistic(tmp_path):
+    # finite F64 gray levels near 1e160, whose local mean of squares overflows
+    levels = np.random.default_rng(41).gamma(3.0, 1.0 / 3.0, size=(32, 32))
+    noisy = tmp_path / "noisy.f64"
+    noisy.write_bytes(write_f64(levels * 1e160))
+    out = tmp_path / "lee.pgm"
+    proc = run_cli("baseline", noisy, out, "--filter", "lee")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: Lee local variance overflowed to a non-finite value\n"
+    assert not out.exists()
+
+
 def _f64_with_nan_last_sample(pgm_bytes):
     return write_f64(read_pgm(pgm_bytes))[:-8] + np.float64(np.nan).tobytes()
 

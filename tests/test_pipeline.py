@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import despeckle.pipeline as pipeline_mod
 import despeckle.wavelet as wavelet_mod
 from despeckle.fuzzy import control_step
-from despeckle.image import exp_domain, log_domain
+from despeckle.image import exp_domain, log_domain, write_pgm
 from despeckle.metrics import deflection_ratio, enl_blocked, full_report, msd, nmv_nv_nsd
 from despeckle.pipeline import (
     CalibrationResult,
@@ -499,39 +499,67 @@ def test_despeckle_deterministic():
 
 
 GAMMA3 = SpeckleSpec(kind="gamma", looks=3, seed=0)
+DB4_SOFT = PipelineConfig(wavelet="db4", shrink="soft")
 
 
-def _report_stage(clean, noisy, cfg):
-    out = despeckle(noisy, initial_threshold(noisy, cfg).lam, cfg)
+def _on_noisy(func, *args):
+    return lambda clean, noisy: lambda: func(noisy, *args)
+
+
+def _report_stage(clean, noisy):
+    out = despeckle(noisy, initial_threshold(noisy, DB4_SOFT).lam, DB4_SOFT)
     return lambda: full_report(clean, noisy, out)
+
+
+_DESPECKLE = _on_noisy(despeckle, 3.06, DB4_SOFT)
+_SEED = _on_noisy(initial_threshold, DB4_SOFT)
+_DWT2 = _on_noisy(dwt2, "db4")
 
 
 # Peak memory allocated during a call at 1024^2 db4 soft, above its inputs,
 # in images of the input's size. despeckle peaks in idwt2, with the analysis
 # blocks (their details shrunk in place) and the output alive besides the
 # block buffers (2.21 measured); the seed holds the log image and its
-# diagonal block (1.42). enl_blocked copies and reduces one band of about
-# 1 MiB of tile rows at a time, so its peak is two bands: the copy and var's
-# deviations (0.345 measured; at 2048^2 as_image's finiteness mask, 0.125,
-# is larger). full_report therefore peaks in the FOM's feature transform
-# with its chunked gather (1.879 measured); the last two bounds are their
-# measured peaks plus 5%.
+# diagonal block (1.42). An odd axis is analysed through the replicated
+# sample that _window reads, with no padded copy, so odd shapes keep the
+# even shapes' bounds (2.210 and 1.533 measured at 1023^2). enl_blocked
+# copies and reduces one band of about 1 MiB of tile rows at a time, so its
+# peak is two bands: the copy and var's deviations (0.345 measured; at
+# 2048^2 as_image's finiteness mask, 0.125, is larger). full_report
+# therefore peaks in the FOM's feature transform with its chunked gather
+# (1.879 measured). dwt2 holds its four blocks and its block buffers
+# (1.210 measured at 1023^2); lee_filter the local mean, the local
+# variance, one scratch array and a mask (3.125); 16-bit write_pgm its
+# clip copy, the big-endian samples and their bytes (1.500). The last five
+# bounds are their measured peaks plus 5%.
 @pytest.mark.parametrize(
-    "spec, stage, images",
+    "spec, shape, stage, images",
     [
-        (GAMMA3, lambda clean, noisy, cfg: lambda: despeckle(noisy, 3.06, cfg), 2.35),
-        (GAMMA3, lambda clean, noisy, cfg: lambda: initial_threshold(noisy, cfg), 1.6),
-        (GAMMA3, lambda clean, noisy, cfg: lambda: enl_blocked(noisy), 0.362),
-        (SpeckleSpec(kind="rayleigh", seed=1), _report_stage, 1.97),
+        pytest.param(GAMMA3, (1024, 1024), _DESPECKLE, 2.35, id="despeckle"),
+        pytest.param(GAMMA3, (1023, 1023), _DESPECKLE, 2.35, id="despeckle-1023x1023"),
+        pytest.param(GAMMA3, (1023, 1024), _DESPECKLE, 2.35, id="despeckle-1023x1024"),
+        pytest.param(GAMMA3, (1024, 1024), _SEED, 1.6, id="initial_threshold"),
+        pytest.param(GAMMA3, (1023, 1023), _SEED, 1.6, id="initial_threshold-1023x1023"),
+        pytest.param(GAMMA3, (1023, 1024), _SEED, 1.6, id="initial_threshold-1023x1024"),
+        pytest.param(GAMMA3, (1024, 1024), _on_noisy(enl_blocked), 0.362, id="enl_blocked"),
+        pytest.param(
+            SpeckleSpec(kind="rayleigh", seed=1), (1024, 1024), _report_stage, 1.97,
+            id="full_report",
+        ),
+        pytest.param(GAMMA3, (1024, 1024), _DWT2, 1.27, id="dwt2"),
+        pytest.param(GAMMA3, (1023, 1023), _DWT2, 1.27, id="dwt2-1023x1023"),
+        pytest.param(
+            GAMMA3, (1024, 1024), _on_noisy(lee_filter, 5, 1.0 / 3.0), 3.28, id="lee_filter"
+        ),
+        pytest.param(GAMMA3, (1024, 1024), _on_noisy(write_pgm, 65535), 1.58, id="write_pgm"),
     ],
-    ids=["despeckle", "initial_threshold", "enl_blocked", "full_report"],
 )
-def test_working_set_is_bounded(spec, stage, images):
+def test_working_set_is_bounded(spec, shape, stage, images):
     from scipy import ndimage  # noqa: F401 -- loaded before the measurement
 
-    clean = make_phantom(1024)
+    clean = make_phantom(max(shape))[: shape[0], : shape[1]]
     noisy = apply_speckle(clean, spec)
-    call = stage(clean, noisy, PipelineConfig(wavelet="db4", shrink="soft"))
+    call = stage(clean, noisy)
     tracemalloc.start()
     try:
         call()
@@ -662,6 +690,16 @@ def test_lee_zero_noise_is_identity():
     rng = np.random.default_rng(41)
     img = rng.uniform(0, 255, size=(16, 16))
     assert_allclose(lee_filter(img, 3, 0.0), img, rtol=0, atol=1e-10)
+
+
+def test_lee_overflow_raises_naming_the_statistic():
+    # finite gray levels whose local mean of squares overflows float64: a
+    # NaN variance would turn every gain into 0 and return the local mean
+    img = np.random.default_rng(41).gamma(3.0, 1.0 / 3.0, size=(16, 16)) * 1e160
+    with pytest.raises(
+        OverflowError, match="^Lee local variance overflowed to a non-finite value$"
+    ):
+        lee_filter(img, 3, 0.0)
 
 
 @pytest.mark.parametrize(

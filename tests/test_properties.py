@@ -68,12 +68,29 @@ def test_dwt_perfect_reconstruction_and_parseval(img, name):
     rec = idwt2(sub, name)
     assert rec.shape == img.shape
     assert np.abs(rec - img).max() <= 1e-10 * max(np.abs(img).max(), 1.0)
-    # Odd sizes are padded by edge replication; the transform is orthonormal
-    # on the padded image.
-    rows, cols = img.shape
-    padded = np.pad(img, ((0, rows % 2), (0, cols % 2)), mode="edge")
+    # An odd axis is extended by one replicated edge sample; the transform
+    # is orthonormal on the extended image.
+    padded = _edge_padded(img)
     energy = sum(float(np.sum(b * b)) for b in (sub.ca, sub.chd, sub.cvd, sub.cdd))
     assert energy == pytest.approx(float(np.sum(padded * padded)), rel=1e-10, abs=1e-10)
+
+
+def _edge_padded(img):
+    """Reference: ``img`` padded by edge replication to even dimensions."""
+    rows, cols = img.shape
+    return np.pad(img, ((0, rows % 2), (0, cols % 2)), mode="edge")
+
+
+@settings(deadline=2000)
+@given(img=images, name=st.sampled_from(["haar", "db2", "db4"]))
+def test_odd_sizes_equal_the_edge_padded_analysis(img, name):
+    # the analysis reads the replicated sample through its windows and
+    # computes every coefficient as it does on the padded copy
+    padded = _edge_padded(img)
+    sub, expected = dwt2(img, name), dwt2(padded, name)
+    for block in ("ca", "chd", "cvd", "cdd"):
+        assert_array_equal(getattr(sub, block), getattr(expected, block))
+    assert_array_equal(_diagonal_detail(img, name), _diagonal_detail(padded, name))
 
 
 @settings(deadline=2000)

@@ -250,7 +250,10 @@ def _oracle_idwt2(sub, name):
 # that strips are cut and written back without changing a coefficient.
 # Where a padded axis holds 2 samples every tap wraps onto one coefficient
 # and the oracle's matmul/einsum reduction rounds differently (by ~1 ulp).
-EXACT_SHAPES = [(256, 256), (97, 97), (17, 23), (300, 128), (4, 6), (600, 1100), (1031, 515)]
+EXACT_SHAPES = [
+    (256, 256), (97, 97), (17, 23), (300, 128), (4, 6), (600, 1100), (1031, 515),
+    (255, 256), (256, 255), (3, 5),
+]
 TWO_SAMPLE_SHAPES = [(1, 9), (9, 1), (2, 2)]
 
 
