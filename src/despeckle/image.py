@@ -59,8 +59,15 @@ def _is_integer(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    # np.floating is registered as numbers.Real and np.bool_ is not
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # np.floating is registered as numbers.Real and np.bool_ is not; a Python
+    # int beyond float range is a real that no float holds
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _finite(figure: str, values):
@@ -130,7 +137,7 @@ def read_pgm(data: bytes) -> np.ndarray:
 def write_pgm(img, maxval: int = 255) -> bytes:
     """Serialize an image as binary PGM, clamping then rounding to [0, maxval]."""
     if maxval not in (255, 65535):
-        raise ValueError(f"maxval must be 255 or 65535, got {maxval}")
+        raise ValueError(f"maxval must be 255 or 65535, got {maxval!r}")
     arr = as_image(img)
     quantized = np.clip(arr, 0.0, float(maxval))
     np.rint(quantized, out=quantized)

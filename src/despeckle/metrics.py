@@ -111,7 +111,7 @@ def msd(reference, candidate) -> float:
 
 def _check_block(block) -> None:
     if not _is_integer(block) or block < 2:
-        raise ValueError(f"block must be >= 2, got {block}")
+        raise ValueError(f"block must be >= 2, got {block!r}")
 
 
 def enl_blocked(img, block: int = 25) -> float:
@@ -123,6 +123,7 @@ def enl_blocked(img, block: int = 25) -> float:
     """
     arr = as_image(img)
     _check_block(block)
+    block = int(block)  # band sizes in a small numpy integer's dtype overflow
     n_r = arr.shape[0] // block
     n_c = arr.shape[1] // block
     if n_r == 0 or n_c == 0:
@@ -325,16 +326,13 @@ def pratt_fom(detected: np.ndarray, ideal: np.ndarray, alpha: float = 1.0 / 9.0)
     """
     detected, ideal = _edge_maps(detected, ideal)
     _check_alpha(alpha)
-    n_detected = int(detected.sum())
-    n_ideal = int(ideal.sum())
-    if n_ideal == 0:
-        if n_detected == 0:
+    if not detected.any():
+        if not ideal.any():
             raise ValueError("both edge maps are empty")
-        raise ValueError("ideal edge map is empty")
-    if n_detected == 0:
         return 0.0
+    # one distance per detected pixel; an empty ideal map raises there
     d = nearest_edge_distances(detected, ideal)
-    return float((1.0 / (1.0 + alpha * d * d)).sum() / max(n_detected, n_ideal))
+    return float((1.0 / (1.0 + alpha * d * d)).sum() / max(d.size, int(ideal.sum())))
 
 
 def full_report(

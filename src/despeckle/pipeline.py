@@ -236,6 +236,9 @@ def calibrate(
         epsilon = 0.02 * peak
     if not _is_real(epsilon) or not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    # compared with a np.float32, a Python float error would be rounded to
+    # single precision first
+    epsilon = float(epsilon)
 
     sub = _analyse(apply_speckle(clean, spec), cfg)
     lam0 = _seed_threshold(sub.cdd, sub.shape).lam
@@ -290,7 +293,7 @@ def despeckle(noisy, lambda_star: float, cfg: PipelineConfig | None = None) -> n
 
 def _check_kernel(kernel: int, shape) -> None:
     if not _is_integer(kernel) or kernel < 3 or kernel % 2 == 0:
-        raise ValueError(f"kernel must be an odd integer >= 3, got {kernel}")
+        raise ValueError(f"kernel must be an odd integer >= 3, got {kernel!r}")
     if kernel > min(shape):
         raise ValueError(f"kernel {kernel} larger than image {shape}")
 
@@ -384,8 +387,10 @@ def lee_filter(noisy, kernel: int = 5, noise_var_ratio: float = 1.0 / 3.0) -> np
         # an overflowed local mean or mean of squares leaves a non-finite
         # variance, whose gain would silently read 0 or NaN
         _finite("Lee local variance", var)
+        # an overflowed mean^2 * ratio is inf, whose gain is 0: the local
+        # mean, the filter's limit as the ratio grows
+        scratch *= noise_var_ratio
     np.maximum(var, 0.0, out=var)
-    scratch *= noise_var_ratio
     np.subtract(var, scratch, out=scratch)
     np.maximum(scratch, 0.0, out=scratch)
     # where var is 0 the numerator is +0.0 already, the gain there

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import _is_integer, _is_real
+from .image import _finite, _is_integer, _is_real
 
 __all__ = [
     "MAD_SCALE",
@@ -48,13 +48,15 @@ def mad_sigma(coeffs) -> float:
 
 
 def universal_threshold(delta_mad: float, n: int) -> ThresholdEstimate:
-    """Universal threshold ``delta_mad * sqrt(2 ln n)`` over ``n`` samples."""
+    """Universal threshold ``delta_mad * sqrt(2 ln n)`` over ``n`` samples;
+    raises ``OverflowError`` when the product overflows."""
     if not _is_integer(n) or n < 2:
         raise ValueError(f"n must be >= 2, got {n!r}")
     if not _is_real(delta_mad) or not 0 <= delta_mad < math.inf:
         raise ValueError(f"delta_mad must be a non-negative finite real, got {delta_mad!r}")
     delta_mad = float(delta_mad)
-    lam = delta_mad * math.sqrt(2.0 * math.log(n))
+    # Python floats overflow to inf silently
+    lam = _finite("universal threshold", delta_mad * math.sqrt(2.0 * math.log(n)))
     return ThresholdEstimate(delta_mad=delta_mad, lam=lam)
 
 

@@ -365,11 +365,11 @@ def test_fom_single_pixel_at_distance_three():
 
 def test_fom_empty_maps_raise():
     empty = np.zeros((4, 4), dtype=bool)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^both edge maps are empty$"):
         pratt_fom(empty, empty)
     detected = empty.copy()
     detected[0, 0] = True
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ideal edge map is empty$"):
         pratt_fom(detected, empty)
 
 

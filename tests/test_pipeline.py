@@ -5,12 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import ndimage
 
 import despeckle.pipeline as pipeline_mod
 import despeckle.wavelet as wavelet_mod
 from despeckle.fuzzy import control_step
-from despeckle.image import exp_domain, log_domain, write_pgm
-from despeckle.metrics import deflection_ratio, enl_blocked, full_report, msd, nmv_nv_nsd
+from despeckle.image import exp_domain, log_domain, read_pgm, write_pgm
+from despeckle.metrics import (
+    deflection_ratio,
+    detect_edges,
+    enl_blocked,
+    full_report,
+    msd,
+    nearest_edge_distances,
+    nmv_nv_nsd,
+)
 from despeckle.pipeline import (
     CalibrationResult,
     PipelineConfig,
@@ -260,6 +269,16 @@ def test_calibrate_vacuous_epsilon_converges_immediately(epsilon):
     assert json.dumps(result.converged) == "true"
 
 
+def test_calibrate_compares_errors_with_epsilon_in_double_precision():
+    # a np.float32 epsilon just below the seed's error magnitude: compared in
+    # single precision, the error would round down onto it and converge
+    clean, spec = make_phantom(64), SpeckleSpec(kind="gamma", looks=3, seed=0)
+    error = abs(calibrate(clean, spec, epsilon=1e-9).trace[0].e)
+    epsilon = np.float32(error)
+    assert float(epsilon) < error
+    assert calibrate(clean, spec, epsilon=epsilon) == calibrate(clean, spec, epsilon=float(epsilon))
+
+
 def test_calibrate_zero_seed_steps_at_unit_gain():
     # A zero seed threshold would make a step of 10% of the seed zero, so the
     # step gain falls back to 1: each increment is the normalized controller
@@ -506,9 +525,29 @@ def _on_noisy(func, *args):
     return lambda clean, noisy: lambda: func(noisy, *args)
 
 
+def _despeckled(noisy):
+    return despeckle(noisy, initial_threshold(noisy, DB4_SOFT).lam, DB4_SOFT)
+
+
 def _report_stage(clean, noisy):
-    out = despeckle(noisy, initial_threshold(noisy, DB4_SOFT).lam, DB4_SOFT)
+    out = _despeckled(noisy)
     return lambda: full_report(clean, noisy, out)
+
+
+def _edges_stage(clean, noisy):
+    out = _despeckled(noisy)
+    return lambda: detect_edges(out)
+
+
+def _distances_stage(clean, noisy):
+    # full_report's FOM pair: the output's edges against the clean image's
+    detected, ideal = detect_edges(_despeckled(noisy)), detect_edges(clean)
+    return lambda: nearest_edge_distances(detected, ideal)
+
+
+def _read_pgm_stage(clean, noisy):
+    data = write_pgm(noisy, 65535)
+    return lambda: read_pgm(data)
 
 
 _DESPECKLE = _on_noisy(despeckle, 3.06, DB4_SOFT)
@@ -530,8 +569,15 @@ _DWT2 = _on_noisy(dwt2, "db4")
 # (1.879 measured). dwt2 holds its four blocks and its block buffers
 # (1.210 measured at 1023^2); lee_filter the local mean, the local
 # variance, one scratch array and a mask (3.125); 16-bit write_pgm its
-# clip copy, the big-endian samples and their bytes (1.500). The last five
-# bounds are their measured peaks plus 5%.
+# clip copy, the big-endian samples and their bytes (1.500), 8-bit write_pgm
+# the same with one-byte samples (1.250). The 3x3 median holds the log image,
+# the median and its strip buffers (2.533); log_domain its output (1.000);
+# 16-bit read_pgm the payload's copy of the bytes and the float64 image
+# (1.250; the bytes are built outside the call); detect_edges the squares and
+# two boolean maps (1.375); nearest_edge_distances the feature transform, two
+# int32 images, and the detected pixels' indices and distances (1.628 on the
+# Rayleigh pair, 26% of whose pixels are detected; 1.409 at 15% on gamma).
+# The last eleven bounds are their measured peaks plus 5%.
 @pytest.mark.parametrize(
     "spec, shape, stage, images",
     [
@@ -552,6 +598,18 @@ _DWT2 = _on_noisy(dwt2, "db4")
             GAMMA3, (1024, 1024), _on_noisy(lee_filter, 5, 1.0 / 3.0), 3.28, id="lee_filter"
         ),
         pytest.param(GAMMA3, (1024, 1024), _on_noisy(write_pgm, 65535), 1.58, id="write_pgm"),
+        pytest.param(GAMMA3, (1024, 1024), _on_noisy(write_pgm, 255), 1.31, id="write_pgm-8bit"),
+        pytest.param(GAMMA3, (1024, 1024), _read_pgm_stage, 1.31, id="read_pgm"),
+        pytest.param(
+            GAMMA3, (1024, 1024), _on_noisy(median_filter_homomorphic, 3), 2.66,
+            id="median_filter_homomorphic",
+        ),
+        pytest.param(GAMMA3, (1024, 1024), _on_noisy(log_domain), 1.05, id="log_domain"),
+        pytest.param(GAMMA3, (1024, 1024), _edges_stage, 1.44, id="detect_edges"),
+        pytest.param(
+            SpeckleSpec(kind="rayleigh", seed=1), (1024, 1024), _distances_stage, 1.71,
+            id="nearest_edge_distances",
+        ),
     ],
 )
 def test_working_set_is_bounded(spec, shape, stage, images):
@@ -702,6 +760,13 @@ def test_lee_overflow_raises_naming_the_statistic():
         lee_filter(img, 3, 0.0)
 
 
+def test_lee_huge_ratio_returns_the_local_mean():
+    # mean^2 * ratio overflows to inf, whose gain is 0, without a warning
+    img = np.random.default_rng(42).uniform(0, 255, size=(16, 16))
+    mean = ndimage.uniform_filter(img, size=3, mode="nearest")
+    assert lee_filter(img, 3, 1e308).tobytes() == mean.tobytes()
+
+
 @pytest.mark.parametrize(
     "ratio", ["0.3", None, True, np.True_, -0.1, float("inf")],
     ids=["str", "None", "bool", "np_bool", "negative", "inf"],
@@ -761,13 +826,6 @@ def test_filters_preserve_shape_and_nonnegativity():
     ):
         assert out.shape == img.shape
         assert np.all(out >= 0.0)
-
-
-def test_pipeline_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(shrink="firm")
-    with pytest.raises(ValueError):
-        PipelineConfig(wavelet="db15")
 
 
 @pytest.mark.parametrize("wavelet", [None, ("haar",), ["haar"]], ids=["None", "tuple", "list"])

@@ -59,6 +59,12 @@ def test_universal_threshold_monotone():
     assert lam(1.0, 10) < lam(1.0, 100)
 
 
+def test_universal_threshold_overflow_raises():
+    message = "^universal threshold overflowed to a non-finite value$"
+    with pytest.raises(OverflowError, match=message):
+        universal_threshold(1e308, 10)
+
+
 def test_universal_threshold_rejects_small_n():
     with pytest.raises(ValueError):
         universal_threshold(1.0, 1)

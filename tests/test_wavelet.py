@@ -47,11 +47,6 @@ def test_db2_vanishing_moments():
     assert abs(np.dot(np.arange(g.size), g)) <= 1e-10
 
 
-def test_unsupported_order():
-    with pytest.raises(ValueError, match="unknown wavelet 'sym4'; supported: haar, db2, db4"):
-        dwt2(np.ones((2, 2)), "sym4")
-
-
 @pytest.mark.parametrize("wavelet", [None, ("haar",), ["haar"]], ids=["None", "tuple", "list"])
 def test_transforms_reject_non_string_wavelet(wavelet):
     # an unhashable name must not raise TypeError from the lookup
