@@ -55,12 +55,13 @@ SHARED = {
     "nan": math.nan,
 }
 # Values that a rule of each kind rejects besides. 10**400 is a real that no
-# float holds; as an integer, the rules of max_iter, looks, rows, cols, n,
-# block and grid_n have no upper bound and let it through.
+# float holds, but an integer that max_iter and n take (calibrate and
+# universal_threshold return results for it), so it is an own value of the
+# integer rows that reject it: seed, maxval and the kernels.
 BY_KIND = {
     "real": {"huge": 10**400},
     "name": {"huge": 10**400},
-    "integer": {"2.5": 2.5, "np.float64(3.0)": np.float64(3.0)},
+    "integer": {"2.5": 2.5, "3.0": 3.0, "np.float64(3.0)": np.float64(3.0)},
 }
 # Scalar types that each kind of row takes: each must give the bytes of the
 # Python value it converts to.
@@ -130,9 +131,9 @@ ROWS = [
     Row("generate_speckle-cols", lambda v: generate_speckle(8, v, GAMMA),
         "cols must be a positive integer, got {}", "integer", (0, -1, False), 9),
     Row("median_filter_homomorphic-kernel", lambda v: median_filter_homomorphic(NOISY, v),
-        KERNEL, "integer", (4, 2, 1, -3, 4.5), 3),
+        KERNEL, "integer", (4, 2, 1, -3, 4.5, 10**400), 3),
     Row("lee_filter-kernel", lambda v: lee_filter(NOISY, v), KERNEL,
-        "integer", (4, 2, 1, -3, 4.5), 5),
+        "integer", (4, 2, 1, -3, 4.5, 10**400), 5),
     Row("universal_threshold-n", lambda v: universal_threshold(1.0, v),
         "n must be >= 2, got {}", "integer", (1, 0), 10),
     Row("enl_blocked-block", lambda v: enl_blocked(NOISY, v), BLOCK, "integer", (1, 0), 8),
@@ -141,7 +142,7 @@ ROWS = [
     Row("output_surface-grid_n", output_surface,
         "grid_n must be >= 2, got {}", "integer", (1, 0), 5),
     Row("write_pgm-maxval", lambda v: write_pgm(NOISY, v),
-        "maxval must be 255 or 65535, got {}", "integer", (1024, 0, 254, 256, 65536), 255),
+        "maxval must be 255 or 65535, got {}", "integer", (1024, 0, 254, 256, 65536, 10**400), 255),
     Row("PipelineConfig-wavelet", lambda v: PipelineConfig(wavelet=v), WAVELET,
         "name", ("db15", ("haar",), ["haar"], np.array("haar"))),
     Row("PipelineConfig-shrink", lambda v: PipelineConfig(shrink=v),
