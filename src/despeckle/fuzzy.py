@@ -105,8 +105,8 @@ def output_surface(grid_n: int) -> np.ndarray:
     error ``u[j]`` for ``u = linspace(-1, 1, grid_n)``, mirroring the rule
     table layout.
     """
-    if not _is_integer(grid_n) or grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n!r}")
+    if not _is_integer(grid_n) or not 2 <= grid_n < 2**63:
+        raise ValueError(f"grid_n must be >= 2 and below 2**63, got {grid_n!r}")
     grades = [fuzzify(u) for u in np.linspace(-1.0, 1.0, grid_n)]
     return np.array([[infer(e, de) for e in grades] for de in grades])
 

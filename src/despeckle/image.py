@@ -187,14 +187,14 @@ def log_domain(img) -> np.ndarray:
 
 
 def exp_domain(img) -> np.ndarray:
-    """Elementwise ``exp(pixel) - 1``, the inverse of :func:`log_domain`."""
-    return _exp_domain(img, None)
+    """Elementwise ``exp(pixel) - 1`` of a checked image, the inverse of :func:`log_domain`."""
+    return _exp_domain(as_image(img), None)
 
 
-def _exp_domain(img, out) -> np.ndarray:
-    """:func:`exp_domain` of ``img`` written to ``out``: a new array when
-    ``out`` is None, or ``img`` itself when the caller created ``img``."""
-    arr = as_image(img)
+def _exp_domain(arr: np.ndarray, out) -> np.ndarray:
+    """:func:`exp_domain` of an image that the caller checked or built,
+    written to ``out``: a new array when ``out`` is None, or ``arr`` itself
+    when the caller created ``arr``."""
     with np.errstate(over="ignore"):
         out = np.exp(arr, out=out)
     out -= 1.0

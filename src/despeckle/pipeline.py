@@ -150,8 +150,8 @@ def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig, shrunk: tuple) -
     ``shrunk`` is three arrays of the blocks' shape: ``sub``'s own ``chd``,
     ``cvd`` and ``cdd``, which are then overwritten, or buffers that keep
     ``sub`` for another threshold. Either way only one block's shrinkage
-    temporaries are alive at a time, and idwt2's fresh output is
-    exponentiated in place.
+    temporaries are alive at a time, and idwt2's fresh output, finite by
+    construction, is exponentiated in place without an image check.
     """
     shrink = SHRINKERS[cfg.shrink]
     for block, dst in zip((sub.chd, sub.cvd, sub.cdd), shrunk):

@@ -8,13 +8,14 @@ Sampling is by inverse-CDF transforms of PCG64 uniforms, one spawned
 substream per image row, so a field is a pure function of
 (rows, cols, spec) no matter how rows are produced. Row r's generator
 state equals ``PCG64(SeedSequence(seed).spawn(rows)[r])``, but
-:func:`_row_states` derives every row's state in one vectorised pass of
-numpy's ``SeedSequence`` mixing (O'Neill's ``seed_seq`` scheme from "PCG:
-A Family of Simple Fast Space-Efficient Statistically Good Algorithms for
-Random Number Generation", 2014) instead of spawning a child and building
-a generator per row. Under NEP 19 (numpy.org/neps/nep-0019-rng-policy.html)
-the ``SeedSequence`` and ``PCG64`` streams are stable, and a tier-1 test
-compares the derived states with numpy's own.
+:func:`_row_states` derives every row's state in one vectorised pass
+instead of spawning a child and building a generator per row. numpy's
+``SeedSequence`` (O'Neill's ``seed_seq`` scheme from "PCG: A Family of
+Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
+Generation", 2014) computes the half that every row shares, its ``pool``;
+the rows' spawn-key mixing and PCG64 seeding are done here. Under NEP 19
+(numpy.org/neps/nep-0019-rng-policy.html) both streams are stable, and a
+tier-1 test compares the derived states with numpy's own.
 
 One generator is re-seeded per row and draws the row's uniforms, L per
 pixel for gamma and one for the other kinds, into a strip-sized buffer;
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _strips
-from .image import _is_integer, as_image
+from .image import _finite, _is_integer, as_image
 
 __all__ = ["KINDS", "SpeckleSpec", "generate_speckle", "apply_speckle"]
 
@@ -52,8 +53,8 @@ class SpeckleSpec:
         # no hashing of other types
         if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"unknown speckle kind {self.kind!r}; supported: {KINDS}")
-        if not _is_integer(self.looks) or self.looks < 1:
-            raise ValueError(f"looks must be a positive integer, got {self.looks!r}")
+        if not _is_integer(self.looks) or not 1 <= self.looks < 2**63:
+            raise ValueError(f"looks must be a positive integer below 2**63, got {self.looks!r}")
         if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         # numpy integers are stored as Python ints, so reprs and JSON stay plain
@@ -67,13 +68,14 @@ def _row_states(seed: int, rows: int) -> list:
 
     A child's entropy is the seed's 32-bit words, zero-padded to the
     4-word pool, then its spawn key r. Hashing the seed words into the
-    pool and cross-mixing it is the same for every row; only the last
-    step, which mixes r into each pool word, differs, so it runs in uint32
-    arithmetic over all r at once. Scalars stay masked Python ints, so no
-    numpy overflow warning fires.
+    pool and cross-mixing it is the same for every row: numpy's
+    ``SeedSequence(seed).pool``. Only the last step, which mixes r into
+    each pool word, differs, so it runs in uint32 arithmetic over all r at
+    once. Scalars stay masked Python ints, so no numpy overflow warning fires.
     """
     mask = (1 << 32) - 1
-    hash_const = 0x43B0D7E5
+    # numpy's, after hashing the 4 seed words and the 12 cross-mixes
+    hash_const = 0x43B0D7E5 * pow(0x931E8875, 16, 1 << 32) & mask
 
     def hashmix(value):
         nonlocal hash_const
@@ -86,15 +88,10 @@ def _row_states(seed: int, rows: int) -> list:
         result = (((0xCA01F9DD * x) & mask) - ((0x4973F715 * y) & mask)) & mask
         return result ^ (result >> 16)
 
-    pool = [hashmix(w) for w in (seed & mask, seed >> 32, 0, 0)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
     # the hash constant advances once per pool word, so r is hashed afresh
     # for each of them
     r = np.arange(rows, dtype=np.uint32)
-    pool = [mix(word, hashmix(r)) for word in pool]
+    pool = [mix(word, hashmix(r)) for word in np.random.SeedSequence(seed).pool.tolist()]
 
     # generate_state(4, uint64): eight 32-bit words, paired little-endian
     hash_const = 0x8B51F9DD
@@ -123,8 +120,8 @@ def _row_states(seed: int, rows: int) -> list:
 def generate_speckle(rows: int, cols: int, spec: SpeckleSpec) -> np.ndarray:
     """Mean-one i.i.d. speckle field, deterministic given (rows, cols, spec)."""
     for name, value in (("rows", rows), ("cols", cols)):
-        if not _is_integer(value) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not _is_integer(value) or not 1 <= value < 2**63:
+            raise ValueError(f"{name} must be a positive integer below 2**63, got {value!r}")
     rows, cols = int(rows), int(cols)
     field = np.empty((rows, cols), dtype=np.float64)
     bitgen = np.random.PCG64()
@@ -171,9 +168,13 @@ def generate_speckle(rows: int, cols: int, spec: SpeckleSpec) -> np.ndarray:
 
 
 def apply_speckle(img, spec: SpeckleSpec) -> np.ndarray:
-    """Multiply a non-negative image by a freshly generated speckle field."""
+    """Multiply a non-negative image by a freshly generated speckle field.
+
+    Raises ``OverflowError`` when a speckled pixel overflows."""
     arr = as_image(img)
     if np.any(arr < 0.0):
         raise ValueError("apply_speckle requires non-negative pixels")
     field = generate_speckle(arr.shape[0], arr.shape[1], spec)
-    return np.multiply(arr, field, out=field)
+    with np.errstate(over="ignore"):
+        np.multiply(arr, field, out=field)
+    return _finite("speckled image", field)

@@ -57,7 +57,8 @@ SHARED = {
 # Values that a rule of each kind rejects besides. 10**400 is a real that no
 # float holds, but an integer that max_iter and n take (calibrate and
 # universal_threshold return results for it), so it is an own value of the
-# integer rows that reject it: seed, maxval and the kernels.
+# integer rows that reject it: looks, seed, the field sizes, the kernels,
+# grid_n and maxval.
 BY_KIND = {
     "real": {"huge": 10**400},
     "name": {"huge": 10**400},
@@ -65,7 +66,7 @@ BY_KIND = {
 }
 # Scalar types that each kind of row takes: each must give the bytes of the
 # Python value it converts to.
-ACCEPTED = {"real": (np.float32, np.float64, int), "integer": (np.int64, np.uint16)}
+ACCEPTED = {"real": (np.float32, np.float64, int), "integer": (np.int64, np.uint16, np.uint64)}
 PYTHON = {"real": float, "integer": int}
 
 
@@ -123,13 +124,15 @@ ROWS = [
     Row("calibrate-max_iter", lambda v: calibrate(CLEAN, GAMMA, max_iter=v),
         "max_iter must be a positive integer, got {}", "integer", (0, -1), 3),
     Row("SpeckleSpec-looks", lambda v: _spec(looks=v),
-        "looks must be a positive integer, got {}", "integer", (0, -1), 3),
+        "looks must be a positive integer below 2**63, got {}", "integer", (0, -1, 10**400), 3),
     Row("SpeckleSpec-seed", lambda v: _spec(seed=v),
         "seed must be an unsigned 64-bit integer, got {}", "integer", (-1, 2**64, 10**400), 5),
     Row("generate_speckle-rows", lambda v: generate_speckle(v, 9, GAMMA),
-        "rows must be a positive integer, got {}", "integer", (0, -1), 8),
+        "rows must be a positive integer below 2**63, got {}", "integer",
+        (0, -1, 2**63, 10**400), 8),
     Row("generate_speckle-cols", lambda v: generate_speckle(8, v, GAMMA),
-        "cols must be a positive integer, got {}", "integer", (0, -1, False), 9),
+        "cols must be a positive integer below 2**63, got {}", "integer",
+        (0, -1, False, 10**400), 9),
     Row("median_filter_homomorphic-kernel", lambda v: median_filter_homomorphic(NOISY, v),
         KERNEL, "integer", (4, 2, 1, -3, 4.5, 10**400), 3),
     Row("lee_filter-kernel", lambda v: lee_filter(NOISY, v), KERNEL,
@@ -140,7 +143,7 @@ ROWS = [
     Row("full_report-block", lambda v: full_report(CLEAN, NOISY, NOISY, block=v), BLOCK,
         "integer", (1, 0), 8),
     Row("output_surface-grid_n", output_surface,
-        "grid_n must be >= 2, got {}", "integer", (1, 0), 5),
+        "grid_n must be >= 2 and below 2**63, got {}", "integer", (1, 0, 10**400), 5),
     Row("write_pgm-maxval", lambda v: write_pgm(NOISY, v),
         "maxval must be 255 or 65535, got {}", "integer", (1024, 0, 254, 256, 65536, 10**400), 255),
     Row("PipelineConfig-wavelet", lambda v: PipelineConfig(wavelet=v), WAVELET,

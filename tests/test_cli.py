@@ -216,6 +216,20 @@ def test_baseline_lee_overflow_fails_naming_the_statistic(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["speckle", "calibrate"])
+def test_speckle_overflow_fails_naming_the_image(tmp_path, command):
+    # finite F64 gray levels near float64's maximum overflow where speckle exceeds 1.06
+    clean = tmp_path / "clean.f64"
+    clean.write_bytes(write_f64(np.full((8, 8), 1.7e308)))
+    out = tmp_path / "noisy.pgm"
+    args = [clean, out] if command == "speckle" else [clean]
+    proc = run_cli(command, *args, "--kind", "rayleigh", "--seed", "1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: speckled image overflowed to a non-finite value\n"
+    assert not out.exists()
+
+
 def _f64_with_nan_last_sample(pgm_bytes):
     return write_f64(read_pgm(pgm_bytes))[:-8] + np.float64(np.nan).tobytes()
 

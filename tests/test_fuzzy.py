@@ -185,7 +185,7 @@ def test_output_surface_rejects_small_grid():
 
 @pytest.mark.parametrize("grid_n", [2.5, 5.0, True])
 def test_output_surface_rejects_non_integer_grid(grid_n):
-    with pytest.raises(ValueError, match=f"grid_n must be >= 2, got {grid_n}"):
+    with pytest.raises(ValueError, match=f"grid_n must be >= 2 and below 2\\*\\*63, got {grid_n}"):
         output_surface(grid_n)
 
 

@@ -218,6 +218,19 @@ def test_exp_domain_overflow():
         exp_domain(np.array([[1e4]]))
 
 
+@pytest.mark.parametrize(
+    "img, message",
+    [
+        (np.zeros(4), r"^image must be a non-empty 2-D array, got shape \(4,\)$"),
+        (np.array([[np.nan]]), "^image contains non-finite pixel values$"),
+    ],
+    ids=["1-D", "NaN"],
+)
+def test_exp_domain_validates_its_input(img, message):
+    with pytest.raises(ValueError, match=message):
+        exp_domain(img)
+
+
 def test_log_exp_mutual_inverses():
     rng = np.random.default_rng(3)
     img = rng.uniform(0.0, 65535.0, size=(16, 16))

@@ -539,16 +539,6 @@ def _textured():
     return np.random.default_rng(31).uniform(1.0, 255.0, size=(50, 50))
 
 
-def test_full_report_parameter_validation():
-    img = _textured()
-    with pytest.raises(ValueError, match="block must be >= 2, got 1"):
-        full_report(img, img, img, block=1)
-    with pytest.raises(ValueError, match=r"tau must lie in \(0, 1\), got 1.5"):
-        full_report(img, img, img, tau=1.5)
-    with pytest.raises(ValueError, match="alpha must be positive and finite, got 0.0"):
-        full_report(img, img, img, alpha=0.0)
-
-
 @pytest.mark.parametrize(
     "bad, message",
     [

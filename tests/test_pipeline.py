@@ -165,19 +165,31 @@ def test_initial_threshold_tracks_log_noise_level():
     assert est.delta_mad == pytest.approx(subband_std, rel=0.05)
 
 
+BAD_IMAGES = {
+    "1-D": (np.full(9, 10.0), r"^image must be a non-empty 2-D array, got shape \(9,\)$"),
+    "NaN": (np.where(np.eye(4), np.nan, 10.0), "^image contains non-finite pixel values$"),
+    "negative": (np.where(np.eye(4), -1.0, 10.0), "^log_domain requires non-negative pixels$"),
+}
+# calibrate speckles its clean reference before the log, and scales by its peak
+BAD_CLEAN_IMAGES = {
+    **BAD_IMAGES,
+    "negative": (BAD_IMAGES["negative"][0], "^apply_speckle requires non-negative pixels$"),
+    "zero": (np.zeros((8, 8)), "^clean reference is identically zero$"),
+}
+CHAIN = {
+    "despeckle": (lambda img: despeckle(img, 1.0), BAD_IMAGES),
+    "initial_threshold": (initial_threshold, BAD_IMAGES),
+    "calibrate": (lambda img: calibrate(img, SpeckleSpec(seed=0)), BAD_CLEAN_IMAGES),
+}
+
+
 @pytest.mark.parametrize(
-    "img, message",
+    "stage, img, message",
     [
-        (np.full(9, 10.0), r"^image must be a non-empty 2-D array, got shape \(9,\)$"),
-        (np.where(np.eye(4), np.nan, 10.0), "^image contains non-finite pixel values$"),
-        (np.where(np.eye(4), -1.0, 10.0), "^log_domain requires non-negative pixels$"),
+        pytest.param(stage, img, message, id=f"{stage_id}-{image_id}")
+        for stage_id, (stage, images) in CHAIN.items()
+        for image_id, (img, message) in images.items()
     ],
-    ids=["1-D", "NaN", "negative"],
-)
-@pytest.mark.parametrize(
-    "stage",
-    [lambda img: despeckle(img, 1.0), initial_threshold],
-    ids=["despeckle", "initial_threshold"],
 )
 def test_chain_rejects_bad_images(stage, img, message):
     with pytest.raises(ValueError, match=message):
@@ -313,15 +325,6 @@ def test_calibrate_best_lambda_no_mse_regression():
     assert mse_star <= mse_seed + 1e-12
 
 
-def test_calibrate_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        calibrate(_small_phantom(), SpeckleSpec(seed=0), max_iter=0)
-    with pytest.raises(ValueError):
-        calibrate(_small_phantom(), SpeckleSpec(seed=0), epsilon=-1.0)
-    with pytest.raises(ValueError):
-        calibrate(np.zeros((8, 8)), SpeckleSpec(seed=0))
-
-
 @pytest.mark.parametrize(
     "name,value",
     [
@@ -337,6 +340,11 @@ def test_calibrate_rejects_bad_arguments():
 def test_calibrate_rejects_bool_and_non_integer_arguments(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
         calibrate(_small_phantom(), SpeckleSpec(seed=0), **{name: value})
+
+
+def test_calibrate_overflow_raises_naming_the_speckled_image():
+    with pytest.raises(OverflowError, match="^speckled image overflowed to a non-finite value$"):
+        calibrate(np.full((8, 8), 1.7e308), SpeckleSpec(kind="rayleigh", seed=1))
 
 
 def test_calibrate_accepts_numpy_integer_max_iter():

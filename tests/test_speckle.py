@@ -66,6 +66,13 @@ def test_apply_speckle_rejects_negative_pixels():
         apply_speckle(np.array([[-1.0, 2.0]]), SpeckleSpec(seed=0))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_apply_speckle_overflow_raises_naming_the_image(kind):
+    # finite gray levels near float64's maximum overflow where speckle exceeds 1.06
+    with pytest.raises(OverflowError, match="^speckled image overflowed to a non-finite value$"):
+        apply_speckle(np.full((4, 4), 1.7e308), SpeckleSpec(kind=kind, seed=1))
+
+
 def test_apply_speckle_unbiased_across_seeds():
     # 60k seeds put the per-pixel standard error near 0.24%, so the 1%
     # bound sits at ~4 sigma
@@ -81,24 +88,6 @@ def test_speckled_constant_enl_matches_looks():
     img = np.full((256, 256), 100.0)
     noisy = apply_speckle(img, SpeckleSpec(kind="gamma", looks=3, seed=42))
     assert enl_blocked(noisy, 256) == pytest.approx(3.0, rel=0.10)
-
-
-def test_spec_accepts_numpy_integers_and_rejects_bool():
-    spec = SpeckleSpec(kind="gamma", looks=np.int64(3), seed=np.int64(5))
-    assert spec == SpeckleSpec(kind="gamma", looks=3, seed=5)
-    assert type(spec.looks) is int and type(spec.seed) is int
-    assert repr(spec) == repr(SpeckleSpec(kind="gamma", looks=3, seed=5))
-    assert_array_equal(
-        generate_speckle(8, 9, spec), generate_speckle(8, 9, SpeckleSpec(looks=3, seed=5))
-    )
-    assert_array_equal(
-        generate_speckle(8, 9, SpeckleSpec(seed=np.uint64(7))),
-        generate_speckle(8, 9, SpeckleSpec(seed=7)),
-    )
-    with pytest.raises(ValueError, match="looks must be a positive integer, got True"):
-        SpeckleSpec(looks=True)
-    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer, got True"):
-        SpeckleSpec(seed=True)
 
 
 @pytest.mark.parametrize(
