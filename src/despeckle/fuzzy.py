@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import _is_integer, _is_real, as_image
+from .image import _check_size, _is_integer, _is_real, as_image
 
 __all__ = [
     "LABEL_CENTERS",
@@ -107,6 +107,7 @@ def output_surface(grid_n: int) -> np.ndarray:
     """
     if not _is_integer(grid_n) or not 2 <= grid_n < 2**63:
         raise ValueError(f"grid_n must be >= 2 and below 2**63, got {grid_n!r}")
+    _check_size("surface (grid_n, grid_n)", (int(grid_n),) * 2)
     grades = [fuzzify(u) for u in np.linspace(-1.0, 1.0, grid_n)]
     return np.array([[infer(e, de) for e in grades] for de in grades])
 

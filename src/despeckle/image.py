@@ -17,6 +17,7 @@ domain: 1 is added before the logarithm so zero-valued pixels stay
 finite, and subtracted again after exponentiation.
 """
 
+import math
 import numbers
 import re
 
@@ -68,6 +69,15 @@ def _is_real(value) -> bool:
     except OverflowError:
         return False
     return True
+
+
+def _check_size(what: str, shape: tuple) -> None:
+    """Raise a ``ValueError`` naming ``what`` when a float64 array of
+    ``shape`` has more bytes than numpy can index, where numpy's own error
+    names no argument. A size that numpy indexes but memory cannot hold
+    still raises numpy's ``MemoryError``."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"{what} = {shape} is larger than a float64 array that numpy can index")
 
 
 def _finite(figure: str, values):

@@ -277,10 +277,21 @@ def _sobel_hypot(arr: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _edge_map(name: str, values) -> np.ndarray:
+    """``values`` as a boolean edge map: a boolean array as it is, and a
+    numeric one only when every value is 0 or 1."""
+    arr = np.asarray(values)
+    if arr.dtype == bool:
+        return arr
+    if arr.dtype.kind not in "iuf" or not ((arr == 0) | (arr == 1)).all():
+        raise ValueError(f"{name} edge map must be boolean or hold only 0 and 1")
+    return arr.astype(bool)
+
+
 def _edge_maps(detected, ideal) -> tuple:
     """``detected`` and ``ideal`` as boolean edge maps of one 2-D shape."""
-    detected = np.asarray(detected, dtype=bool)
-    ideal = np.asarray(ideal, dtype=bool)
+    detected = _edge_map("detected", detected)
+    ideal = _edge_map("ideal", ideal)
     if detected.shape != ideal.shape:
         raise ValueError(f"shape mismatch: {detected.shape} vs {ideal.shape}")
     if detected.ndim != 2:

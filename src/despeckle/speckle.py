@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _strips
-from .image import _finite, _is_integer, as_image
+from .image import _check_size, _finite, _is_integer, as_image
 
 __all__ = ["KINDS", "SpeckleSpec", "generate_speckle", "apply_speckle"]
 
@@ -123,11 +123,13 @@ def generate_speckle(rows: int, cols: int, spec: SpeckleSpec) -> np.ndarray:
         if not _is_integer(value) or not 1 <= value < 2**63:
             raise ValueError(f"{name} must be a positive integer below 2**63, got {value!r}")
     rows, cols = int(rows), int(cols)
+    looks = spec.looks if spec.kind == "gamma" else 1
+    _check_size("field (rows, cols)", (rows, cols))
+    _check_size("one row's uniforms (looks, cols)", (looks, cols))
     field = np.empty((rows, cols), dtype=np.float64)
     bitgen = np.random.PCG64()
     gen = np.random.Generator(bitgen)
     states = _row_states(spec.seed, rows)
-    looks = spec.looks if spec.kind == "gamma" else 1
     strips = _strips._bounds(rows, 8 * looks * cols)
     # Every kind draws its L uniforms per pixel (L = 1 but for gamma) into
     # this strip buffer. An array smaller than two strips is one strip, so

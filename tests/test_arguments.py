@@ -9,7 +9,8 @@ Every row must reject the shared values and those of its kind with a
 ``ValueError`` whose whole message is the row's, naming the value. A real
 row must give the same bytes for numpy floats (and a Python int) as for
 the Python float of equal value, an integer row the same for numpy
-integers as for the Python int.
+integers as for the Python int. The size rows reject 2**62, whose float64
+array numpy cannot index, with a message of its own.
 """
 
 import math
@@ -53,6 +54,7 @@ SHARED = {
     "list": [1],
     "-huge": -(10**400),
     "nan": math.nan,
+    "np.float64(nan)": np.float64(math.nan),
 }
 # Values that a rule of each kind rejects besides. 10**400 is a real that no
 # float holds, but an integer that max_iter and n take (calibrate and
@@ -180,6 +182,26 @@ def test_rejected_argument_is_named_in_the_rules_message(row, value):
     with pytest.raises(ValueError) as raised:
         row.call(value)
     assert str(raised.value) == row.message.format(repr(value))
+
+
+# 2**62 passes the size rules, but the float64 array that it asks for has
+# more bytes than numpy can index, whose own error names no argument.
+TOO_LARGE = {
+    "SpeckleSpec-looks": f"one row's uniforms (looks, cols) = {(2**62, 9)}",
+    "generate_speckle-rows": f"field (rows, cols) = {(2**62, 9)}",
+    "generate_speckle-cols": f"field (rows, cols) = {(8, 2**62)}",
+    "output_surface-grid_n": f"surface (grid_n, grid_n) = {(2**62, 2**62)}",
+}
+
+
+@pytest.mark.parametrize(
+    "row", [pytest.param(row, id=f"{row.id}-2**62") for row in ROWS if row.id in TOO_LARGE]
+)
+def test_size_numpy_cannot_index_names_its_arguments(row):
+    with pytest.raises(ValueError) as raised:
+        row.call(2**62)
+    message = f"{TOO_LARGE[row.id]} is larger than a float64 array that numpy can index"
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("row, value", _acceptances())

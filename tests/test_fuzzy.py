@@ -1,4 +1,3 @@
-import re
 
 import numpy as np
 import pytest
@@ -44,26 +43,6 @@ def test_fuzzify_clamps():
     assert fuzzify(-5.0)["NB"] == 1.0
     assert fuzzify(float("inf")) == fuzzify(1.0)
     assert fuzzify(float("-inf")) == fuzzify(-1.0)
-
-
-def test_nan_is_rejected():
-    # NaN fails every comparison, so clamping would grade it as full-scale NB
-    nan = float("nan")
-    with pytest.raises(ValueError, match="nan"):
-        fuzzify(nan)
-    for e, de in ((nan, 0.0), (0.0, nan), (np.float64(nan), 0.5)):
-        with pytest.raises(ValueError, match="nan"):
-            control_step(e, de)
-
-
-@pytest.mark.parametrize("u", ["0.5", None, True, np.True_], ids=["str", "None", "bool", "np_bool"])
-def test_fuzzify_rejects_non_real(u):
-    with pytest.raises(ValueError, match=f"^membership input must be a number, got {re.escape(repr(u))}$"):
-        fuzzify(u)
-
-
-def test_fuzzify_accepts_numpy_reals():
-    assert fuzzify(np.float32(0.25)) == fuzzify(np.float64(0.25)) == fuzzify(0.25)
 
 
 def test_fuzzify_examples():
@@ -176,21 +155,6 @@ def test_output_surface_corners_center_and_rotation():
     assert surface[0, 0] == -1.0 and surface[-1, -1] == 1.0
     assert surface[2, 2] == 0.0
     assert np.allclose(surface, -surface[::-1, ::-1], atol=1e-12)
-
-
-def test_output_surface_rejects_small_grid():
-    with pytest.raises(ValueError):
-        output_surface(1)
-
-
-@pytest.mark.parametrize("grid_n", [2.5, 5.0, True])
-def test_output_surface_rejects_non_integer_grid(grid_n):
-    with pytest.raises(ValueError, match=f"grid_n must be >= 2 and below 2\\*\\*63, got {grid_n}"):
-        output_surface(grid_n)
-
-
-def test_output_surface_accepts_numpy_integer():
-    assert output_surface(np.int64(5)).tobytes() == output_surface(5).tobytes()
 
 
 def _infer_skipping_zeros(e_grades, de_grades):

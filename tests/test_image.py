@@ -115,11 +115,6 @@ def test_write_pgm_16bit_big_endian():
     assert out == b"P5\n1 2\n65535\n" + bytes([0x00, 0x00, 0xFF, 0xFF])
 
 
-def test_write_pgm_rejects_other_maxval():
-    with pytest.raises(ValueError):
-        write_pgm(np.zeros((2, 2)), 1024)
-
-
 @pytest.mark.parametrize("maxval", [255, 65535])
 def test_pgm_round_trip_bit_exact(maxval):
     rng = np.random.default_rng(7)

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -178,35 +179,6 @@ def test_detect_edges_deterministic():
     rng = np.random.default_rng(26)
     img = rng.uniform(0, 9, size=(12, 12))
     assert np.array_equal(detect_edges(img, 0.3), detect_edges(img, 0.3))
-
-
-def test_detect_edges_tau_range():
-    with pytest.raises(ValueError):
-        detect_edges(np.zeros((4, 4)), 0.0)
-
-
-# Python numbers and numpy floating scalars are real; bools (np.True_
-# included), strings and None are not.
-NON_REAL = ["0.5", None, True, np.True_]
-NON_REAL_IDS = ["str", "None", "bool", "np_bool"]
-
-
-@pytest.mark.parametrize("tau", NON_REAL, ids=NON_REAL_IDS)
-def test_tau_rejects_non_real(tau):
-    img = np.random.default_rng(3).uniform(0, 255, size=(8, 8))
-    message = rf"^tau must lie in \(0, 1\), got {re.escape(repr(tau))}$"
-    with pytest.raises(ValueError, match=message):
-        detect_edges(img, tau)
-    with pytest.raises(ValueError, match=message):
-        full_report(img, img, img, block=4, tau=tau)
-
-
-def test_tau_and_alpha_accept_numpy_reals():
-    img = np.random.default_rng(4).uniform(0, 255, size=(16, 16))
-    edges = detect_edges(img, np.float32(0.25))
-    assert_array_equal(edges, detect_edges(img, 0.25))
-    ideal = detect_edges(img, 0.5)
-    assert pratt_fom(edges, ideal, np.float64(0.5)) == pratt_fom(edges, ideal, 0.5)
 
 
 def _sobel_magnitude_oracle(img):
@@ -394,6 +366,30 @@ def test_edge_maps_must_be_2d(shape):
             figure(detected, ideal)
 
 
+# Cast to bool, each of these values would make every pixel an edge.
+NOT_EDGES = {"nan": np.nan, "0.5": 0.5, "2": 2, "-1": -1, "1j": 1j, "str": "no"}
+
+
+@pytest.mark.parametrize("figure", [nearest_edge_distances, pratt_fom])
+@pytest.mark.parametrize("value", NOT_EDGES.values(), ids=NOT_EDGES)
+def test_edge_map_values_must_be_0_or_1(figure, value):
+    ideal = np.zeros((4, 4), dtype=bool)
+    ideal[0] = True
+    bad = np.full((4, 4), value)
+    for name, maps in (("detected", (bad, ideal)), ("ideal", (ideal, bad))):
+        message = f"^{name} edge map must be boolean or hold only 0 and 1$"
+        with pytest.raises(ValueError, match=message):
+            figure(*maps)
+
+
+@pytest.mark.parametrize("figure", [nearest_edge_distances, pratt_fom])
+def test_edge_map_of_0_and_1_gives_the_boolean_bytes(figure):
+    clean = make_phantom(64)
+    detected, ideal = detect_edges(apply_speckle(clean, SpeckleSpec())), detect_edges(clean)
+    numeric = figure(detected.astype(np.uint8), ideal.astype(np.float64))
+    assert pickle.dumps(numeric) == pickle.dumps(figure(detected, ideal))
+
+
 def test_fom_bounded_by_one():
     rng = np.random.default_rng(27)
     for _ in range(20):
@@ -555,37 +551,6 @@ def test_full_report_checks_arguments_before_any_figure(monkeypatch, bad, messag
     with pytest.raises(ValueError, match=f"^{message}$"):
         full_report(img, img, img, **bad)
     assert calls == []
-
-
-@pytest.mark.parametrize("block", [2.5, 25.0])
-def test_block_must_be_an_integer(block):
-    img = _textured()
-    with pytest.raises(ValueError, match=f"^block must be >= 2, got {block}$"):
-        enl_blocked(img, block)
-    with pytest.raises(ValueError, match=f"^block must be >= 2, got {block}$"):
-        full_report(img, img, img, block=block)
-
-
-def test_block_accepts_numpy_integer():
-    img = _textured()
-    assert enl_blocked(img, np.int64(25)) == enl_blocked(img, 25)
-    assert full_report(img, img, img, block=np.int64(25)) == full_report(img, img, img, block=25)
-
-
-@pytest.mark.parametrize(
-    "alpha",
-    [0.0, -1.0, float("nan"), float("inf")] + NON_REAL,
-    ids=["0.0", "-1.0", "nan", "inf"] + NON_REAL_IDS,
-)
-def test_alpha_must_be_positive_and_finite(alpha):
-    edges = np.zeros((8, 8), dtype=bool)
-    edges[2, 2] = True
-    img = _textured()
-    message = f"^alpha must be positive and finite, got {re.escape(repr(alpha))}$"
-    with pytest.raises(ValueError, match=message):
-        full_report(img, img, img, alpha=alpha)
-    with pytest.raises(ValueError, match=message):
-        pratt_fom(edges, edges, alpha=alpha)
 
 
 def test_full_report_rejects_image_smaller_than_one_enl_tile():

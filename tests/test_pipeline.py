@@ -1,5 +1,4 @@
 import json
-import re
 import tracemalloc
 
 import numpy as np
@@ -83,35 +82,6 @@ def test_shrink_once_preserves_shape_and_nonnegativity():
     out = despeckle(img, 3.0)
     assert out.shape == img.shape
     assert np.all(out >= 0.0)
-
-
-def test_shrink_once_rejects_negative_threshold():
-    with pytest.raises(ValueError):
-        despeckle(np.ones((4, 4)), -1.0)
-
-
-@pytest.mark.parametrize("shrink", ["hard", "soft"])
-def test_despeckle_rejects_nan_threshold(shrink):
-    with pytest.raises(ValueError, match="threshold .* got nan"):
-        despeckle(np.ones((4, 4)), float("nan"), PipelineConfig(shrink=shrink))
-
-
-def test_despeckle_rejects_bool_threshold():
-    with pytest.raises(ValueError, match="^threshold must be a non-negative number, got True$"):
-        despeckle(np.ones((4, 4)), True)
-
-
-@pytest.mark.parametrize("lambda_star", ["1", None, 1j], ids=["str", "None", "complex"])
-def test_despeckle_rejects_non_number_threshold(lambda_star):
-    # a string compared with 0 raised TypeError before the message was built
-    with pytest.raises(ValueError, match="^threshold must be a non-negative number, got"):
-        despeckle(np.ones((4, 4)), lambda_star)
-
-
-@pytest.mark.parametrize("lam", [float("inf"), 1e400], ids=["inf", "1e400"])
-def test_despeckle_rejects_infinite_threshold(lam):
-    with pytest.raises(ValueError, match="threshold must be a non-negative number, got inf"):
-        despeckle(np.ones((4, 4)), lam)
 
 
 def test_detail_energy_monotone_in_threshold():
@@ -325,31 +295,9 @@ def test_calibrate_best_lambda_no_mse_regression():
     assert mse_star <= mse_seed + 1e-12
 
 
-@pytest.mark.parametrize(
-    "name,value",
-    [
-        ("max_iter", 2.5),
-        ("max_iter", 3.0),
-        ("max_iter", True),
-        ("max_iter", "3"),
-        ("epsilon", True),
-        ("epsilon", "1"),
-        ("epsilon", np.True_),
-    ],
-)
-def test_calibrate_rejects_bool_and_non_integer_arguments(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
-        calibrate(_small_phantom(), SpeckleSpec(seed=0), **{name: value})
-
-
 def test_calibrate_overflow_raises_naming_the_speckled_image():
     with pytest.raises(OverflowError, match="^speckled image overflowed to a non-finite value$"):
         calibrate(np.full((8, 8), 1.7e308), SpeckleSpec(kind="rayleigh", seed=1))
-
-
-def test_calibrate_accepts_numpy_integer_max_iter():
-    result = calibrate(_small_phantom(), SpeckleSpec(seed=0), max_iter=np.int64(1))
-    assert result.iterations == 1
 
 
 def test_calibrate_stop_reason_decides_converged():
@@ -775,22 +723,6 @@ def test_lee_huge_ratio_returns_the_local_mean():
     assert lee_filter(img, 3, 1e308).tobytes() == mean.tobytes()
 
 
-@pytest.mark.parametrize(
-    "ratio", ["0.3", None, True, np.True_, -0.1, float("inf")],
-    ids=["str", "None", "bool", "np_bool", "negative", "inf"],
-)
-def test_lee_rejects_non_real_noise_var_ratio(ratio):
-    img = np.random.default_rng(42).uniform(0, 255, size=(8, 8))
-    message = f"^noise_var_ratio must be a non-negative real, got {re.escape(repr(ratio))}$"
-    with pytest.raises(ValueError, match=message):
-        lee_filter(img, 3, ratio)
-
-
-def test_lee_accepts_numpy_real_noise_var_ratio():
-    img = np.random.default_rng(43).uniform(0, 255, size=(8, 8))
-    assert_array_equal(lee_filter(img, 3, np.float32(0.5)), lee_filter(img, 3, 0.5))
-
-
 def test_lee_smooths_gamma_speckle():
     img = np.full((64, 64), 100.0)
     noisy = apply_speckle(img, SpeckleSpec(kind="gamma", looks=3, seed=13))
@@ -798,30 +730,10 @@ def test_lee_smooths_gamma_speckle():
     assert nmv_nv_nsd(out)[1] < nmv_nv_nsd(noisy)[1]
 
 
-@pytest.mark.parametrize(
-    "func",
-    [
-        lambda img: median_filter_homomorphic(img, 4),
-        lambda img: lee_filter(img, 2),
-        lambda img: median_filter_homomorphic(img, 33),
-        lambda img: lee_filter(img, 33),
-        lambda img: median_filter_homomorphic(img, 4.5),
-        lambda img: lee_filter(img, 4.5),
-        lambda img: median_filter_homomorphic(img, 3.0),
-        lambda img: lee_filter(img, 3.0),
-        lambda img: median_filter_homomorphic(img, True),
-        lambda img: lee_filter(img, True),
-    ],
-)
-def test_baseline_kernel_validation(func):
-    with pytest.raises(ValueError, match=r"^kernel (must be an odd integer >= 3, got|\d+ larger)"):
-        func(np.ones((16, 16)))
-
-
-def test_baseline_kernel_accepts_numpy_integer():
-    img = np.random.default_rng(44).uniform(1, 255, size=(16, 16))
-    for filt in (median_filter_homomorphic, lee_filter):
-        assert filt(img, np.int64(3)).tobytes() == filt(img, 3).tobytes()
+@pytest.mark.parametrize("filt", [median_filter_homomorphic, lee_filter])
+def test_baseline_kernel_larger_than_image_is_rejected(filt):
+    with pytest.raises(ValueError, match=r"^kernel 33 larger than image \(16, 16\)$"):
+        filt(np.ones((16, 16)), 33)
 
 
 def test_filters_preserve_shape_and_nonnegativity():
@@ -834,20 +746,6 @@ def test_filters_preserve_shape_and_nonnegativity():
     ):
         assert out.shape == img.shape
         assert np.all(out >= 0.0)
-
-
-@pytest.mark.parametrize("wavelet", [None, ("haar",), ["haar"]], ids=["None", "tuple", "list"])
-def test_pipeline_config_rejects_non_string_wavelet(wavelet):
-    message = f"^unknown wavelet {re.escape(repr(wavelet))}; supported: haar, db2, db4$"
-    with pytest.raises(ValueError, match=message):
-        PipelineConfig(wavelet=wavelet)
-
-
-@pytest.mark.parametrize("shrink", [None, ("hard",), ["hard"]], ids=["None", "tuple", "list"])
-def test_pipeline_config_rejects_non_string_shrink(shrink):
-    message = f"^shrink must be one of \\('hard', 'soft'\\), got {re.escape(repr(shrink))}$"
-    with pytest.raises(ValueError, match=message):
-        PipelineConfig(shrink=shrink)
 
 
 # ---------------------------------------------------------------- caller memory

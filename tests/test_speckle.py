@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -88,19 +87,6 @@ def test_speckled_constant_enl_matches_looks():
     img = np.full((256, 256), 100.0)
     noisy = apply_speckle(img, SpeckleSpec(kind="gamma", looks=3, seed=42))
     assert enl_blocked(noisy, 256) == pytest.approx(3.0, rel=0.10)
-
-
-@pytest.mark.parametrize(
-    "kind",
-    [np.array("gamma"), np.array(["gamma", "rayleigh"]), None, ["gamma"]],
-    ids=["0-d array", "2-element array", "None", "list"],
-)
-def test_spec_rejects_non_string_kind(kind):
-    # a 0-d array equals "gamma" but does not hash, and a longer one compares
-    # elementwise, so both are rejected before the membership test
-    message = f"unknown speckle kind {repr(kind)}; supported: {KINDS}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        SpeckleSpec(kind=kind)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])

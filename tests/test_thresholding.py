@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -65,23 +64,6 @@ def test_universal_threshold_overflow_raises():
         universal_threshold(1e308, 10)
 
 
-def test_universal_threshold_rejects_small_n():
-    with pytest.raises(ValueError):
-        universal_threshold(1.0, 1)
-
-
-@pytest.mark.parametrize(
-    "n", ["10", 2.5, 10.0, None, True], ids=["str", "2.5", "10.0", "None", "True"]
-)
-def test_universal_threshold_rejects_non_integer_n(n):
-    with pytest.raises(ValueError, match=f"^n must be >= 2, got {re.escape(repr(n))}$"):
-        universal_threshold(1.0, n)
-
-
-def test_universal_threshold_accepts_numpy_integer_n():
-    assert universal_threshold(1.0, np.int64(10)) == universal_threshold(1.0, 10)
-
-
 def test_hard_threshold_cases():
     x = np.array([1.5, 3.0, -2.0, -3.0, 2.0])
     assert_array_equal(hard_threshold(x, 2.0), [0.0, 3.0, 0.0, -3.0, 0.0])
@@ -96,19 +78,6 @@ def test_boundary_maps_to_zero():
     # |x| == lam zeroes under both shrinkers
     assert hard_threshold(np.array([-2.0]), 2.0)[0] == 0.0
     assert soft_threshold(np.array([-2.0]), 2.0)[0] == 0.0
-
-
-def test_negative_threshold_rejected():
-    with pytest.raises(ValueError):
-        hard_threshold(np.zeros(3), -1.0)
-    with pytest.raises(ValueError):
-        soft_threshold(np.zeros(3), -0.5)
-
-
-@pytest.mark.parametrize("shrink", [hard_threshold, soft_threshold])
-def test_nan_threshold_rejected(shrink):
-    with pytest.raises(ValueError, match="got nan"):
-        shrink(np.zeros(3), float("nan"))
 
 
 def test_shrinker_algebra_exact_on_dyadic_lattice():
@@ -138,40 +107,3 @@ def test_shrinker_ordering_and_monotonicity():
     for shrink in (hard_threshold, soft_threshold):
         ys = shrink(xs, lam)
         assert np.all(np.diff(ys) >= -1e-15)
-
-
-# Python numbers and numpy floating scalars are real; bools (np.True_
-# included), strings and None are not.
-NON_REAL = ["1", None, True, np.True_]
-NON_REAL_IDS = ["str", "None", "bool", "np_bool"]
-
-
-@pytest.mark.parametrize("shrink", [hard_threshold, soft_threshold])
-@pytest.mark.parametrize("lam", NON_REAL + [math.inf], ids=NON_REAL_IDS + ["inf"])
-def test_threshold_rejects_non_real_and_infinite(shrink, lam):
-    message = f"^threshold must be a non-negative number, got {re.escape(repr(lam))}$"
-    with pytest.raises(ValueError, match=message):
-        shrink(np.zeros(3), lam)
-
-
-@pytest.mark.parametrize("shrink", [hard_threshold, soft_threshold])
-@pytest.mark.parametrize("real", [np.float32, np.float64, int])
-def test_threshold_accepts_numpy_reals(shrink, real):
-    x = np.linspace(-2.0, 2.0, 9)
-    assert_array_equal(shrink(x, real(1)), shrink(x, 1.0))
-
-
-@pytest.mark.parametrize("delta_mad", NON_REAL, ids=NON_REAL_IDS)
-def test_universal_threshold_rejects_non_real_delta_mad(delta_mad):
-    message = f"^delta_mad must be a non-negative finite real, got {re.escape(repr(delta_mad))}$"
-    with pytest.raises(ValueError, match=message):
-        universal_threshold(delta_mad, 10)
-
-
-def test_universal_threshold_rejects_negative_delta_mad():
-    with pytest.raises(ValueError, match="^delta_mad must be a non-negative finite real, got -1.0$"):
-        universal_threshold(-1.0, 10)
-
-
-def test_universal_threshold_accepts_numpy_real_delta_mad():
-    assert universal_threshold(np.float32(0.5), 10) == universal_threshold(0.5, 10)

@@ -1,4 +1,3 @@
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -45,16 +44,6 @@ def test_db2_vanishing_moments():
     _, g = _BANKS["db2"]
     assert abs(g.sum()) <= 1e-10
     assert abs(np.dot(np.arange(g.size), g)) <= 1e-10
-
-
-@pytest.mark.parametrize("wavelet", [None, ("haar",), ["haar"]], ids=["None", "tuple", "list"])
-def test_transforms_reject_non_string_wavelet(wavelet):
-    # an unhashable name must not raise TypeError from the lookup
-    message = f"^unknown wavelet {re.escape(repr(wavelet))}; supported: haar, db2, db4$"
-    with pytest.raises(ValueError, match=message):
-        dwt2(np.ones((2, 2)), wavelet)
-    with pytest.raises(ValueError, match=message):
-        idwt2(dwt2(np.ones((2, 2)), "haar"), wavelet)
 
 
 @pytest.mark.parametrize("name", BANKS)
