@@ -45,7 +45,8 @@ SOFT = PipelineConfig(shrink="soft")
 HAAR = dwt2(NOISY, "haar")
 
 # Values that no argument takes (but for None, calibrate's default epsilon):
-# each row rejects every one that it does not take.
+# each row rejects every one that it does not take. A 0-d array is no
+# scalar, whatever its dtype.
 SHARED = {
     "str": "1",
     "None": None,
@@ -55,6 +56,8 @@ SHARED = {
     "-huge": -(10**400),
     "nan": math.nan,
     "np.float64(nan)": np.float64(math.nan),
+    "1j": 1j,
+    "0-d array": np.array(1.0),
 }
 # Values that a rule of each kind rejects besides. 10**400 is a real that no
 # float holds, but an integer that max_iter and n take (calibrate and
@@ -98,7 +101,7 @@ INF = math.inf
 
 ROWS = [
     Row("despeckle-lambda_star", lambda v: despeckle(NOISY, v), THRESHOLD,
-        "real", (-1.0, INF, -INF, 1j), 1.0),
+        "real", (-1.0, INF, -INF), 1.0),
     Row("despeckle-soft-lambda_star", lambda v: despeckle(NOISY, v, SOFT), THRESHOLD,
         "real", (-1.0, INF), 1.0),
     Row("hard_threshold-lam", lambda v: hard_threshold(COEFFS, v), THRESHOLD,
