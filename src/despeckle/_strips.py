@@ -43,7 +43,11 @@ def _halo_strips(arr: np.ndarray, scratch: int):
     rows, cols = arr.shape
     strips = _bounds(rows, arr[0].nbytes)
     tallest = max(s.stop - s.start for s in strips)
-    buffers = [np.empty((tallest + 2, cols + 2)) for _ in range(scratch + 1)]
+    # One block rather than one array per buffer: once freed, a block this
+    # size raises glibc's dynamic mmap threshold, and with it the heap's trim
+    # threshold, past the images of a 256x256 flow, so they stop being
+    # returned to the system and faulted in again after every call.
+    buffers = np.empty((scratch + 1, tallest + 2, cols + 2))
     for s in strips:
         x, *views = (b[: s.stop - s.start + 2] for b in buffers)
         x[1:-1, 1:-1] = arr[s]

@@ -19,8 +19,9 @@ Edge maps are plain boolean arrays produced by a Sobel magnitude detector
 thresholded at a fraction of its maximum. The Sobel pair is computed in
 cache-sized row strips in ``scipy.ndimage.sobel``'s order -- the
 difference along the gradient axis, then ``2 * centre + (previous +
-next)`` across it, on edge-replicated borders -- and kept as the squared
-magnitude ``gx*gx + gy*gy``. ``np.hypot`` of that pair is evaluated only
+next)`` across it, on edge-replicated borders -- each tap one 1-D ufunc
+call over the flattened strip, and kept as the squared magnitude
+``gx*gx + gy*gy``. ``np.hypot`` of that pair is evaluated only
 where a square lies too close to the peak's or the threshold's to decide
 the comparison, so every edge map equals the one thresholded from
 ``np.hypot(ndimage.sobel(...), ndimage.sobel(...))`` bit for bit. FOM
@@ -33,7 +34,10 @@ least a strip's bytes (see ``_strips``), into per-tile means and
 variances allocated once; a tile's figures do not depend on the band
 that holds it. A figure that overflows on finite pixels (a variance of
 gray levels above about 1e154, say) raises ``OverflowError`` naming the
-figure instead of returning inf, NaN or a wrong finite value.
+figure instead of returning inf, NaN or a wrong finite value. A variance
+or MSD that reads exactly 0 on pixels that differ (squares below the
+smallest subnormal, at gray levels near 1e-170) raises ``ValueError``
+naming the figure; a subnormal non-zero figure is returned as it is.
 
 :func:`full_report` composes the public figures. It checks ``block``,
 ``tau`` and ``alpha`` before the first figure runs, with the same checks
@@ -98,6 +102,8 @@ def nmv_nv_nsd(img) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = _finite("NMV", float(arr.mean()))
         var = _finite("NV", float(arr.var()))
+    if var == 0.0 and arr.min() != arr.max():
+        raise _underflowed("NV")
     return mean, var, math.sqrt(var)
 
 
@@ -106,7 +112,17 @@ def msd(reference, candidate) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         diff = subtract(reference, candidate)
         diff *= diff
-        return _finite("MSD", float(diff.mean()))
+        value = _finite("MSD", float(diff.mean()))
+    # distinct doubles have a non-zero difference, though its square may not
+    if value == 0.0 and subtract(reference, candidate).any():
+        raise _underflowed("MSD")
+    return value
+
+
+def _underflowed(figure: str) -> ValueError:
+    """The error for a figure that reads 0 although its pixels differ:
+    squares of their deviations fell below the smallest subnormal."""
+    return ValueError(f"{figure} underflowed to 0 on pixels that differ")
 
 
 def _check_block(block) -> None:
@@ -118,8 +134,9 @@ def enl_blocked(img, block: int = 25) -> float:
     """Mean of per-tile ``mean^2 / var`` over full non-overlapping tiles.
 
     Partial edge tiles are discarded; constant tiles (zero variance) are
-    excluded from the average. Raises if the image holds no full tile or
-    if every tile is constant.
+    excluded from the average. Raises if the image holds no full tile, if
+    every tile is constant, or if a tile's variance is 0 on pixels that
+    differ.
     """
     arr = as_image(img)
     _check_block(block)
@@ -142,6 +159,12 @@ def enl_blocked(img, block: int = 25) -> float:
         # an overflowed variance would drop its tile or turn its ratio into 0
         _finite("ENL", variances)
         valid = variances > 0.0
+        if not valid.all():
+            # and an underflowed one would drop a tile that is not constant
+            grid = arr[: n_r * block, : n_c * block].reshape(n_r, block, n_c, block)
+            constant = grid.min(axis=(1, 3)) == grid.max(axis=(1, 3))
+            if not (constant.ravel() | valid).all():
+                raise _underflowed("ENL")
         if not valid.any():
             raise ValueError(f"all {valid.size} tiles are constant; ENL undefined")
         return _finite("ENL", float((means[valid] ** 2 / variances[valid]).mean()))
@@ -224,30 +247,34 @@ def _sobel_squares(arr: np.ndarray) -> np.ndarray:
     ndimage.sobel's order: the difference along the gradient axis, then
     ``2 * centre + (previous + next)`` across it (summed here as
     ``(previous + next) + 2 * centre``, which leaves every bit the same).
+    Each tap is one 1-D ufunc call over the flattened halo strip, whose
+    rows are ``cols + 2`` apart, so a neighbour is a fixed flat offset. The
+    entries in a halo column mix two rows and are never copied out.
     """
     squares = np.empty(arr.shape)
-    for s, x, (d,) in _halo_strips(arr, 1):
-        gx = squares[s]
-        rows, cols = gx.shape
-        dx = d[:, :cols]
-        np.subtract(x[:, 2:], x[:, :-2], out=dx)
-        np.add(dx[:-2], dx[2:], out=gx)
-        dx = dx[1:-1]
-        dx *= 2.0
-        gx += dx
-        dy = d[:rows]
-        np.subtract(x[2:], x[:-2], out=dy)
-        gy = x[:rows, :cols]  # x is read in full by now
-        np.add(dy[:, :-2], dy[:, 2:], out=gy)
-        dy = dy[:, 1:-1]
-        dy *= 2.0
-        gy += dy
-        # a square that overflows to inf is left to np.hypot, like every
-        # square that the band cannot decide
-        with np.errstate(over="ignore"):
-            gx *= gx
-            gy *= gy
-            gx += gy
+    w = arr.shape[1] + 2  # the flat offset of the next row
+    for s, x, (d, gx) in _halo_strips(arr, 2):
+        n = x.size
+        xf, df, gxf = x.reshape(-1), d.reshape(-1), gx.reshape(-1)
+        inner = slice(w + 1, n - w - 1)  # the first to the last interior pixel
+        # A halo column's difference spans two rows and may overflow where
+        # no gradient does. A gradient that does overflow leaves a non-finite
+        # square, which np.hypot recomputes, with numpy's warnings, for the peak.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(xf[2:], xf[:-2], out=df[1:-1])
+            np.add(df[1 : n - 2 * w - 1], df[2 * w + 1 : -1], out=gxf[inner])
+            df[inner] *= 2.0
+            gxf[inner] += df[inner]
+            np.subtract(xf[2 * w :], xf[: -2 * w], out=df[w:-w])
+            gyf = xf  # x is read in full by now
+            np.add(df[w : -w - 2], df[w + 2 : -w], out=gyf[inner])
+            df[inner] *= 2.0
+            gyf[inner] += df[inner]
+            # a square that overflows to inf is left to np.hypot, like every
+            # square that the band cannot decide
+            gxf[inner] *= gxf[inner]
+            gyf[inner] *= gyf[inner]
+            np.add(gx[1:-1, 1:-1], x[1:-1, 1:-1], out=squares[s])
     return squares
 
 

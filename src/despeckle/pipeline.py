@@ -301,6 +301,11 @@ def _check_kernel(kernel: int, shape) -> None:
 def median_filter_homomorphic(noisy, kernel: int = 3) -> np.ndarray:
     """Windowed median in the log domain with edge-replicated borders.
 
+    ``log(x + 1)`` is monotone and the median only selects, so the median of
+    the log image is the log of the plain median bit for bit: the output is
+    ``exp_domain(log_domain(plain median))``, the plain median up to the
+    rounding of exp after log.
+
     The 3x3 median is a min/max network (Paeth, "Median finding on a 3x3
     grid", Graphics Gems, 1990) over cache-sized row strips; larger kernels
     run ``scipy.ndimage.median_filter``. The network only selects elements,

@@ -203,6 +203,20 @@ def test_metrics_overflow_fails_naming_the_figure(tmp_path):
     assert proc.stderr == "error: NV overflowed to a non-finite value\n"
 
 
+def test_metrics_underflow_fails_naming_the_figure(tmp_path):
+    # distinct finite F64 gray levels near 1e-170, whose variance underflows to 0
+    rng = np.random.default_rng(42)
+    paths = []
+    for name in ("clean", "noisy", "despeckled"):
+        path = tmp_path / f"{name}.f64"
+        path.write_bytes(write_f64((1.0 + rng.uniform(size=(64, 64))) * 1e-170))
+        paths.append(path)
+    proc = run_cli("metrics", *paths)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: NV underflowed to 0 on pixels that differ\n"
+
+
 def test_baseline_lee_overflow_fails_naming_the_statistic(tmp_path):
     # finite F64 gray levels near 1e160, whose local mean of squares overflows
     levels = np.random.default_rng(41).gamma(3.0, 1.0 / 3.0, size=(32, 32))

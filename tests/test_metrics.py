@@ -95,6 +95,29 @@ def test_figures_raise_on_overflow(figure, call):
         call()
 
 
+def _distinct_levels(low, seed=0, shape=(50, 50)):
+    # distinct finite gray levels in [low, 2 low)
+    return np.random.default_rng(seed).uniform(low, 2.0 * low, size=shape)
+
+
+@pytest.mark.parametrize(
+    "figure, call",
+    [
+        # deviations near 1e-170 square below the smallest subnormal
+        ("NV", lambda: nmv_nv_nsd(_distinct_levels(1e-170))),
+        ("ENL", lambda: enl_blocked(_distinct_levels(1e-170))),
+        # DR's statistics come from nmv_nv_nsd, which names the figure
+        ("NV", lambda: deflection_ratio(_distinct_levels(1e-170), _distinct_levels(1e-170))),
+        ("MSD", lambda: msd(_distinct_levels(1e-310), 1.5 * _distinct_levels(1e-310))),
+    ],
+    ids=["nv", "enl", "dr-stats", "msd"],
+)
+def test_figures_raise_on_underflow(figure, call):
+    # a figure of pixels that differ must not come back as an exact 0.0
+    with pytest.raises(ValueError, match=f"^{figure} underflowed to 0 on pixels that differ$"):
+        call()
+
+
 # ---------------------------------------------------------------- ENL
 
 

@@ -1,6 +1,6 @@
 """README.md stays true: its Python API example runs and its re-export list
 names exactly the package namespace; its command-line examples run and it
-names every long option the CLI accepts."""
+names every long option the CLI accepts; every test it names exists."""
 
 import re
 import shlex
@@ -14,7 +14,8 @@ from despeckle.image import write_pgm
 
 from conftest import make_phantom
 
-_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+_TESTS = Path(__file__).resolve().parent
+_README = (_TESTS.parent / "README.md").read_text()
 _API = _README.split("## Python API", 1)[1].split("\n## ", 1)[0]
 
 
@@ -71,3 +72,13 @@ def test_cli_example_runs(tmp_path):
             [sys.executable, "-m", *argv], cwd=tmp_path, capture_output=True, text=True
         )
         assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def test_named_tests_exist():
+    defined = {
+        name
+        for path in _TESTS.glob("test_*.py")
+        for name in re.findall(r"^def (test_\w+)\(", path.read_text(), re.M)
+    }
+    named = set(re.findall(r"`(test_\w+)", _README))
+    assert named and not named - defined, f"README names missing tests: {sorted(named - defined)}"
