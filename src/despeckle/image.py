@@ -20,6 +20,7 @@ finite, and subtracted again after exponentiation.
 import math
 import numbers
 import re
+import sys
 
 import numpy as np
 
@@ -46,8 +47,25 @@ class PgmError(ValueError):
 
 
 def as_image(a) -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D float64 array, validating shape and values."""
-    arr = np.asarray(a, dtype=np.float64)
+    """Coerce ``a`` to a finite 2-D float64 array, validating dtype, shape
+    and values. Integer and floating images convert; an object array
+    converts when each element is a real number that float64 holds. Bool,
+    complex, string, date and time images and masked arrays are rejected."""
+    # numpy.ma is imported by whoever made a masked array, not by numpy
+    ma = sys.modules.get("numpy.ma")
+    if ma is not None and isinstance(a, ma.MaskedArray):
+        raise ValueError("image must not be a masked array; fill its masked pixels first")
+    arr = np.asarray(a)
+    if arr.dtype == object:
+        if not all(_is_real(v) for v in arr.flat):
+            raise ValueError("image of dtype object must hold only reals that float64 holds")
+    elif arr.dtype.kind not in "iuf":
+        raise ValueError(f"image must hold integers or floats, got dtype {arr.dtype}")
+    try:
+        with np.errstate(over="raise"):
+            arr = arr.astype(np.float64, copy=False)
+    except FloatingPointError:
+        raise ValueError("image pixel values lie beyond float64's range") from None
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"image must be a non-empty 2-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

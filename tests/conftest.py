@@ -4,9 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from despeckle.fuzzy import control_step, scalarize
-from despeckle.image import log_domain, subtract
+from despeckle.image import exp_domain, log_domain, subtract
+from despeckle.metrics import _sobel_hypot
 from despeckle.pipeline import CalibrationResult, TraceStep, despeckle, initial_threshold
 from despeckle.speckle import apply_speckle
 from despeckle.wavelet import dwt2
@@ -106,6 +108,34 @@ def _reference_calibrate(clean, spec, cfg, max_iter=100, epsilon=None, keyed_by_
     return best_lam, CalibrationResult(stop_reason, tuple(trace))
 
 
+def _edge_padded(img):
+    """Reference: ``img`` padded by edge replication to even dimensions."""
+    rows, cols = img.shape
+    return np.pad(img, ((0, rows % 2), (0, cols % 2)), mode="edge")
+
+
+def _sobel_magnitude_oracle(img):
+    """Oracle: scipy's Sobel pair and its magnitude over the whole image."""
+    return np.hypot(
+        ndimage.sobel(img, axis=1, mode="nearest"), ndimage.sobel(img, axis=0, mode="nearest")
+    )
+
+
+def _sobel_edges(img, tau):
+    """Oracle: the pixels whose Sobel magnitude reaches ``tau`` times the peak."""
+    magnitude = _sobel_magnitude_oracle(img)
+    peak = magnitude.max()
+    return magnitude >= tau * peak if peak > 0.0 else np.zeros(img.shape, dtype=bool)
+
+
+def _pointwise_magnitude(img):
+    """The pointwise helper's np.hypot at every pixel."""
+    return _sobel_hypot(img, np.arange(img.size)).reshape(img.shape)
+
+
+def _ndimage_median_oracle(img, kernel):
+    """Oracle: scipy's median of the log image, exponentiated back."""
+    return exp_domain(ndimage.median_filter(log_domain(img), size=kernel, mode="nearest"))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Every argument rule of the public API, in one table.
+"""Every argument rule of the public API, in two tables.
 
 A row is one public callable and one of its number- or name-valued
 parameters: a call that passes a value for it, the rule's message with
@@ -11,6 +11,10 @@ row must give the same bytes for numpy floats (and a Python int) as for
 the Python float of equal value, an integer row the same for numpy
 integers as for the Python int. The size rows reject 2**62, whose float64
 array numpy cannot index, with a message of its own.
+
+The image table has a row per public callable and image parameter. Every
+row must reject the shared bad images with the whole message of each, and
+give integer and float32 images the bytes of the equal float64 image.
 """
 
 import math
@@ -20,17 +24,26 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from despeckle.fuzzy import control_step, fuzzify, output_surface
-from despeckle.image import write_pgm
-from despeckle.metrics import detect_edges, enl_blocked, full_report, pratt_fom
+from despeckle.fuzzy import control_step, fuzzify, output_surface, scalarize
+from despeckle.image import as_image, exp_domain, log_domain, subtract, write_f64, write_pgm
+from despeckle.metrics import (
+    deflection_ratio,
+    detect_edges,
+    enl_blocked,
+    full_report,
+    msd,
+    nmv_nv_nsd,
+    pratt_fom,
+)
 from despeckle.pipeline import (
     PipelineConfig,
     calibrate,
     despeckle,
+    initial_threshold,
     lee_filter,
     median_filter_homomorphic,
 )
-from despeckle.speckle import KINDS, SpeckleSpec, generate_speckle
+from despeckle.speckle import KINDS, SpeckleSpec, apply_speckle, generate_speckle
 from despeckle.thresholding import hard_threshold, soft_threshold, universal_threshold
 from despeckle.wavelet import dwt2, idwt2
 
@@ -211,3 +224,72 @@ def test_size_numpy_cannot_index_names_its_arguments(row):
 def test_numpy_scalar_gives_the_bytes_of_the_python_value(row, value):
     expected = row.call(PYTHON[row.kind](value))
     assert pickle.dumps(row.call(value)) == pickle.dumps(expected)
+
+
+DTYPE = "image must hold integers or floats, got dtype {}"
+OBJECT = "image of dtype object must hold only reals that float64 holds"
+MASKED = "image must not be a masked array; fill its masked pixels first"
+BAD_IMAGES = {
+    "bool": (NOISY > 100.0, DTYPE.format("bool")),
+    "complex": (NOISY + 0j, DTYPE.format("complex128")),
+    "str": (np.full((32, 32), "1"), DTYPE.format("<U1")),
+    "datetime64": (np.zeros((32, 32), "datetime64[D]"), DTYPE.format("datetime64[D]")),
+    "timedelta64": (np.zeros((32, 32), "timedelta64[s]"), DTYPE.format("timedelta64[s]")),
+    "None": (np.full((32, 32), None), OBJECT),
+    "list-huge-int": ([[10**400] * 32] * 32, OBJECT),
+    "masked": (np.ma.masked_less(NOISY, 50.0), MASKED),
+}
+if np.finfo(np.longdouble).max > np.finfo(np.float64).max:  # where long double is wider
+    BAD_IMAGES["longdouble"] = (
+        np.full((32, 32), np.longdouble("1e400")), "image pixel values lie beyond float64's range"
+    )
+IMAGE_ROWS = {
+    "as_image": as_image,
+    "write_pgm": write_pgm,
+    "write_f64": write_f64,
+    "log_domain": log_domain,
+    "exp_domain": exp_domain,
+    "subtract-a": lambda v: subtract(v, NOISY),
+    "subtract-b": lambda v: subtract(NOISY, v),
+    "scalarize": scalarize,
+    "nmv_nv_nsd": nmv_nv_nsd,
+    "msd-reference": lambda v: msd(v, NOISY),
+    "msd-candidate": lambda v: msd(NOISY, v),
+    "enl_blocked": lambda v: enl_blocked(v, 8),
+    "deflection_ratio-candidate": lambda v: deflection_ratio(v, NOISY),
+    "deflection_ratio-stats_source": lambda v: deflection_ratio(NOISY, v),
+    "detect_edges": detect_edges,
+    "full_report-clean": lambda v: full_report(v, NOISY, NOISY, block=8),
+    "full_report-noisy": lambda v: full_report(CLEAN, v, NOISY, block=8),
+    "full_report-despeckled": lambda v: full_report(CLEAN, NOISY, v, block=8),
+    "initial_threshold": initial_threshold,
+    "calibrate": lambda v: calibrate(v, GAMMA),
+    "despeckle": lambda v: despeckle(v, 1.0),
+    "median_filter_homomorphic": median_filter_homomorphic,
+    "lee_filter": lee_filter,
+    "apply_speckle": lambda v: apply_speckle(v, GAMMA),
+    "dwt2": lambda v: dwt2(v, "haar"),
+}
+
+
+@pytest.mark.parametrize(
+    "call, img, message",
+    [
+        pytest.param(call, img, message, id=f"{row_id}-{image_id}")
+        for row_id, call in IMAGE_ROWS.items()
+        for image_id, (img, message) in BAD_IMAGES.items()
+    ],
+)
+def test_bad_image_is_rejected_with_its_message(call, img, message):
+    with pytest.raises(ValueError) as raised:
+        call(img)
+    assert str(raised.value) == message
+
+
+GRAY = np.clip(np.rint(NOISY), 0.0, 255.0)  # gray levels that every dtype below holds
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32])
+@pytest.mark.parametrize("call", IMAGE_ROWS.values(), ids=IMAGE_ROWS)
+def test_integer_and_float32_images_give_the_float64_bytes(call, dtype):
+    assert pickle.dumps(call(GRAY.astype(dtype))) == pickle.dumps(call(GRAY))

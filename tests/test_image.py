@@ -115,15 +115,6 @@ def test_write_pgm_16bit_big_endian():
     assert out == b"P5\n1 2\n65535\n" + bytes([0x00, 0x00, 0xFF, 0xFF])
 
 
-@pytest.mark.parametrize("maxval", [255, 65535])
-def test_pgm_round_trip_bit_exact(maxval):
-    rng = np.random.default_rng(7)
-    img = rng.integers(0, maxval + 1, size=(13, 9)).astype(np.float64)
-    data = write_pgm(img, maxval)
-    assert_array_equal(read_pgm(data), img)
-    assert write_pgm(read_pgm(data), maxval) == data
-
-
 @pytest.mark.parametrize(
     "maxval", [255.0, 65535.0, np.float64(255)], ids=["255.0", "65535.0", "np.float64(255)"]
 )
@@ -132,12 +123,6 @@ def test_write_pgm_float_maxval_writes_integer_header(maxval):
     data = write_pgm(img, maxval)
     assert data == write_pgm(img, int(maxval))
     assert_array_equal(read_pgm(data), img)
-
-
-def test_f64_round_trip_lossless():
-    rng = np.random.default_rng(11)
-    img = rng.standard_normal((5, 7)) * 1e6
-    assert_array_equal(read_f64(write_f64(img)), img)
 
 
 def test_f64_rejects_bad_magic_and_truncation():

@@ -17,12 +17,17 @@ from despeckle.metrics import (
     nearest_edge_distances,
     nmv_nv_nsd,
     pratt_fom,
-    _sobel_hypot,
 )
 from despeckle.pipeline import despeckle
 from despeckle.speckle import SpeckleSpec, apply_speckle, generate_speckle
 
-from conftest import _brute_distances, make_phantom
+from conftest import (
+    _brute_distances,
+    _pointwise_magnitude,
+    _sobel_edges,
+    _sobel_magnitude_oracle,
+    make_phantom,
+)
 
 
 # ---------------------------------------------------------------- moments
@@ -198,30 +203,6 @@ def test_detect_edges_vertical_step():
     assert not edges[:, :2].any() and not edges[:, 6:].any()
 
 
-def test_detect_edges_deterministic():
-    rng = np.random.default_rng(26)
-    img = rng.uniform(0, 9, size=(12, 12))
-    assert np.array_equal(detect_edges(img, 0.3), detect_edges(img, 0.3))
-
-
-def _sobel_magnitude_oracle(img):
-    """Oracle: scipy's Sobel pair and its magnitude over the whole image."""
-    return np.hypot(
-        ndimage.sobel(img, axis=1, mode="nearest"), ndimage.sobel(img, axis=0, mode="nearest")
-    )
-
-
-def _sobel_edges(img, tau):
-    magnitude = _sobel_magnitude_oracle(img)
-    peak = magnitude.max()
-    return magnitude >= tau * peak if peak > 0.0 else np.zeros(img.shape, dtype=bool)
-
-
-def _pointwise_magnitude(img):
-    """The pointwise helper's np.hypot at every pixel."""
-    return _sobel_hypot(img, np.arange(img.size)).reshape(img.shape)
-
-
 @pytest.mark.parametrize(
     "shape",
     [(1, 1), (1, 9), (9, 1), (2, 2), (3, 3), (17, 23), (1031, 515)],
@@ -338,18 +319,6 @@ def test_detect_edges_peak_is_hypot_not_largest_square():
 # ---------------------------------------------------------------- FOM
 
 
-def test_fom_identical_maps_is_exactly_one():
-    ideal = np.zeros((16, 16), dtype=bool)
-    ideal[4, :] = True
-    assert pratt_fom(ideal, ideal) == 1.0
-
-
-def test_fom_empty_detected_is_zero():
-    ideal = np.zeros((8, 8), dtype=bool)
-    ideal[2, 2] = True
-    assert pratt_fom(np.zeros((8, 8), dtype=bool), ideal) == 0.0
-
-
 def test_fom_single_pixel_at_distance_three():
     ideal = np.zeros((8, 8), dtype=bool)
     detected = np.zeros((8, 8), dtype=bool)
@@ -413,16 +382,6 @@ def test_edge_map_of_0_and_1_gives_the_boolean_bytes(figure):
     assert pickle.dumps(numeric) == pickle.dumps(figure(detected, ideal))
 
 
-def test_fom_bounded_by_one():
-    rng = np.random.default_rng(27)
-    for _ in range(20):
-        detected = rng.random((16, 16)) < 0.2
-        ideal = rng.random((16, 16)) < 0.2
-        if not ideal.any():
-            continue
-        assert 0.0 <= pratt_fom(detected, ideal) <= 1.0
-
-
 def test_nearest_distance_routes_agree(phantom):
     rng = np.random.default_rng(28)
     pairs = [(rng.random((24, 24)) < 0.15, rng.random((24, 24)) < 0.15) for _ in range(10)]
@@ -442,19 +401,6 @@ def test_nearest_distance_routes_agree(phantom):
         distances = nearest_edge_distances(detected, ideal)
         assert_array_equal(distances, ndimage.distance_transform_edt(~ideal)[detected])
         assert_array_equal(distances, _brute_distances(detected, ideal))
-
-
-@pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
-def test_nearest_distance_gathers_in_chunks(monkeypatch, density):
-    # chunks of 7 detected pixels: several of them, the last one partial
-    # when every one of the 23 * 31 pixels is detected
-    monkeypatch.setattr(metrics, "_POINTS", 7)
-    rng = np.random.default_rng(30)
-    detected = rng.random((23, 31)) < density
-    ideal = rng.random((23, 31)) < 0.05
-    ideal[11, 15] = True
-    assert detected.sum() > 2 * 7
-    assert_array_equal(nearest_edge_distances(detected, ideal), _brute_distances(detected, ideal))
 
 
 def test_nearest_distance_brute_matches_loop_oracle():

@@ -10,19 +10,6 @@ from despeckle.speckle import KINDS, SpeckleSpec, _row_states, apply_speckle, ge
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [
-        SpeckleSpec(kind="rayleigh", seed=101),
-        SpeckleSpec(kind="exponential", seed=102),
-        SpeckleSpec(kind="gamma", looks=3, seed=103),
-    ],
-)
-def test_mean_one(spec):
-    field = generate_speckle(1000, 1000, spec)
-    assert field.mean() == pytest.approx(1.0, rel=0.005)
-
-
-@pytest.mark.parametrize(
     "spec,variance",
     [
         (SpeckleSpec(kind="exponential", seed=201), 1.0),
@@ -34,13 +21,6 @@ def test_mean_one(spec):
 def test_variance(spec, variance):
     field = generate_speckle(1000, 1000, spec)
     assert field.var() == pytest.approx(variance, rel=0.02)
-
-
-def test_determinism():
-    spec = SpeckleSpec(kind="gamma", looks=4, seed=7)
-    assert_array_equal(generate_speckle(32, 33, spec), generate_speckle(32, 33, spec))
-    img = np.full((16, 16), 10.0)
-    assert_array_equal(apply_speckle(img, spec), apply_speckle(img, spec))
 
 
 def test_seeds_differ():

@@ -36,13 +36,6 @@ def test_mad_sigma_scale_equivariant():
     assert mad_sigma(-3.5 * v) == pytest.approx(3.5 * mad_sigma(v), rel=1e-12)
 
 
-@pytest.mark.parametrize("sigma", [0.5, 2.0, 10.0])
-def test_mad_sigma_estimates_gaussian_std(sigma):
-    rng = np.random.default_rng(42)
-    samples = rng.normal(0.0, sigma, size=100_000)
-    assert mad_sigma(samples) == pytest.approx(sigma, rel=0.05)
-
-
 def test_universal_threshold_values():
     est = universal_threshold(4.447739, 5)
     assert est.lam == pytest.approx(4.447739 * math.sqrt(2.0 * math.log(5)), rel=1e-12)
@@ -78,20 +71,6 @@ def test_boundary_maps_to_zero():
     # |x| == lam zeroes under both shrinkers
     assert hard_threshold(np.array([-2.0]), 2.0)[0] == 0.0
     assert soft_threshold(np.array([-2.0]), 2.0)[0] == 0.0
-
-
-def test_shrinker_algebra_exact_on_dyadic_lattice():
-    # Quarter-integer coefficients and thresholds make every operation
-    # exact in binary floating point, so the laws hold bitwise.
-    rng = np.random.default_rng(1)
-    x = rng.integers(-64, 65, size=10_000).astype(np.float64) / 4.0
-    lam, mu = 1.25, 0.75
-    assert_array_equal(hard_threshold(hard_threshold(x, lam), lam), hard_threshold(x, lam))
-    assert_array_equal(
-        soft_threshold(soft_threshold(x, lam), mu), soft_threshold(x, lam + mu)
-    )
-    assert_array_equal(hard_threshold(-x, lam), -hard_threshold(x, lam))
-    assert_array_equal(soft_threshold(-x, lam), -soft_threshold(x, lam))
 
 
 def test_shrinker_ordering_and_monotonicity():

@@ -6,11 +6,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from despeckle.wavelet import _BANKS, _LOWPASS, Subbands, _diagonal_detail, dwt2, idwt2
 
+from conftest import _edge_padded
+
 BANKS = ("haar", "db2", "db4")
-
-
-def _coeff_energy(sub):
-    return sum(float(np.sum(block * block)) for block in (sub.ca, sub.chd, sub.cvd, sub.cdd))
 
 
 # ---------------------------------------------------------------- taps
@@ -75,25 +73,6 @@ def test_haar_2x2_closed_form():
     assert sub.cdd[0, 0] == pytest.approx(((a - b) - (c - d)) / 2, abs=1e-14)
 
 
-@pytest.mark.parametrize("name", BANKS)
-def test_level_round_trip(name):
-    rng = np.random.default_rng(5)
-    img = rng.standard_normal((16, 12))
-    rec = idwt2(dwt2(img, name), name)
-    assert np.abs(rec - img).max() <= 1e-10 * np.abs(img).max()
-
-
-@pytest.mark.parametrize("name", BANKS)
-@pytest.mark.parametrize("levels", [1])
-def test_multilevel_round_trip(name, levels):
-    # Only the single level the pipeline uses remains; the seed and the
-    # 32x48 size are kept so the case matches its earlier multi-level form.
-    rng = np.random.default_rng(levels)
-    img = rng.standard_normal((32, 48))
-    rec = idwt2(dwt2(img, name), name)
-    assert np.abs(rec - img).max() <= 1e-10 * np.abs(img).max()
-
-
 def test_idwt2_linearity():
     rng = np.random.default_rng(6)
     bank = "db2"
@@ -138,30 +117,6 @@ def test_shift_covariance():
         (base.cdd, shifted.cdd),
     ):
         assert_allclose(moved, np.roll(block, 1, axis=1), rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("name", BANKS)
-def test_parseval(name):
-    rng = np.random.default_rng(10)
-    img = rng.standard_normal((32, 32))
-    sub = dwt2(img, name)
-    pixel_energy = float(np.sum(img * img))
-    assert _coeff_energy(sub) == pytest.approx(pixel_energy, rel=1e-8)
-
-
-@pytest.mark.parametrize(
-    "shape", [(17, 23), (1, 9), (9, 1), (1, 1)], ids=lambda s: f"{s[0]}x{s[1]}"
-)
-def test_odd_dimensions_pad_and_crop(shape):
-    rng = np.random.default_rng(12)
-    img = rng.standard_normal(shape)
-    for name in BANKS:
-        sub = dwt2(img, name)
-        assert sub.shape == shape
-        assert sub.ca.shape == ((shape[0] + 1) // 2, (shape[1] + 1) // 2)
-        rec = idwt2(sub, name)
-        assert rec.shape == img.shape
-        assert np.abs(rec - img).max() <= 1e-10 * np.abs(img).max()
 
 
 def test_zero_decomposition_reconstructs_zero():
@@ -212,9 +167,7 @@ def _scatter_synthesize_axis(lo, hi, h, g, axis):
 
 def _oracle_dwt2(img, name):
     h, g = _BANKS[name]
-    rows, cols = img.shape
-    x = np.pad(img, ((0, rows % 2), (0, cols % 2)), mode="edge")
-    lo, hi = _gather_analyze_axis(x, h, g, axis=1)
+    lo, hi = _gather_analyze_axis(_edge_padded(img), h, g, axis=1)
     ca, chd = _gather_analyze_axis(lo, h, g, axis=0)
     cvd, cdd = _gather_analyze_axis(hi, h, g, axis=0)
     return ca, chd, cvd, cdd
@@ -250,6 +203,9 @@ def test_transform_matches_gather_scatter_oracle(shape, name):
     img = rng.uniform(0.0, 255.0, size=shape)
     sub = dwt2(img, name)
     blocks = (sub.ca, sub.chd, sub.cvd, sub.cdd)
+    # the seed route computes only the diagonal block, with the same
+    # products in the same order as the full analysis
+    assert_array_equal(_diagonal_detail(img, name), sub.cdd)
     if shape in EXACT_SHAPES:
         for block, expected in zip(blocks, _oracle_dwt2(img, name)):
             assert_array_equal(block, expected)
@@ -258,15 +214,3 @@ def test_transform_matches_gather_scatter_oracle(shape, name):
         for block, expected in zip(blocks, _oracle_dwt2(img, name)):
             assert_allclose(block, expected, rtol=0, atol=1e-12)
         assert_allclose(idwt2(sub, name), _oracle_idwt2(sub, name), rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("name", BANKS)
-@pytest.mark.parametrize(
-    "shape", EXACT_SHAPES + TWO_SAMPLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}"
-)
-def test_diagonal_detail_equals_dwt2_cdd(shape, name):
-    # The seed route computes only the highpass/highpass block, with the
-    # same products in the same order as the full analysis.
-    rng = np.random.default_rng(14)
-    img = rng.uniform(0.0, 255.0, size=shape)
-    assert_array_equal(_diagonal_detail(img, name), dwt2(img, name).cdd)
