@@ -234,25 +234,28 @@ def test_criterion_9_cli_determinism(tmp_path):
             assert proc.returncode == 0, proc.stderr
             return proc.stdout
 
+        # name -> (stdout lines, files written, command)
         commands = {
-            "speckle": lambda out: run(
+            "speckle": (1, ["noisy.pgm"], lambda out: run(
                 "speckle", clean, out / "noisy.pgm", "--kind", "gamma", "--looks", "3",
                 "--seed", "42",
-            ),
-            "calibrate": lambda out: run(
+            )),
+            "calibrate": (1, ["trace.csv"], lambda out: run(
                 "calibrate", clean, "--seed", "42", "--max-iter", "6",
                 "--trace-out", out / "trace.csv",
-            ),
-            "despeckle": lambda out: run(
+            )),
+            "despeckle": (1, ["despeckled.pgm"], lambda out: run(
                 "despeckle", clean, out / "despeckled.pgm", "--lambda", "1.5"
-            ),
-            "baseline": lambda out: run(
+            )),
+            "baseline": (1, ["lee.pgm"], lambda out: run(
                 "baseline", clean, out / "lee.pgm", "--filter", "lee", "--kernel", "5"
-            ),
-            "metrics": lambda out: run("metrics", clean, clean, clean),
-            "surface": lambda out: run("surface", out / "surface.csv", "--grid-n", "9"),
+            )),
+            "metrics": (2, [], lambda out: run("metrics", clean, clean, clean)),
+            "surface": (1, ["surface.csv"], lambda out: run(
+                "surface", out / "surface.csv", "--grid-n", "9"
+            )),
         }
-        for name, invoke in commands.items():
+        for name, (lines, files, invoke) in commands.items():
             dir_a = tmp_path / f"{name}_a"
             dir_b = tmp_path / f"{name}_b"
             dir_a.mkdir()
@@ -260,9 +263,10 @@ def test_criterion_9_cli_determinism(tmp_path):
             stdout_a = invoke(dir_a)
             stdout_b = invoke(dir_b)
             assert stdout_a == stdout_b, name
+            assert len(stdout_a.splitlines()) == lines, name
             files_a = sorted(p.name for p in dir_a.iterdir())
             files_b = sorted(p.name for p in dir_b.iterdir())
-            assert files_a == files_b, name
+            assert files_a == files_b == files, name
             for fname in files_a:
                 assert (dir_a / fname).read_bytes() == (dir_b / fname).read_bytes(), (
                     name,
