@@ -111,12 +111,14 @@ def cmd_baseline(args) -> int:
     if args.looks < 1:
         raise ValueError(f"looks must be a positive integer, got {args.looks}")
     img = _read_image(args.input)
+    payload = {"filter": args.filter, "kernel": args.kernel}
     if args.filter == "median":
         out = median_filter_homomorphic(img, kernel=args.kernel)
     else:
         out = lee_filter(img, kernel=args.kernel, noise_var_ratio=1.0 / args.looks)
+        payload["looks"] = args.looks
     _write_image(args.output, out)
-    _emit({"filter": args.filter, "kernel": args.kernel})
+    _emit(payload)
     return 0
 
 

@@ -226,9 +226,7 @@ def _exp_domain(arr: np.ndarray, out) -> np.ndarray:
     with np.errstate(over="ignore"):
         out = np.exp(arr, out=out)
     out -= 1.0
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("exp_domain overflowed to non-finite values")
-    return out
+    return _finite("exp_domain", out)
 
 
 def subtract(a, b) -> np.ndarray:

@@ -386,7 +386,7 @@ def full_report(
     """
     shapes = np.shape(clean), np.shape(noisy), np.shape(despeckled)
     if not shapes[0] == shapes[1] == shapes[2]:
-        raise ValueError("shape mismatch: {}, {}, {}".format(*shapes))
+        raise ValueError(f"shape mismatch: {shapes[0]}, {shapes[1]}, {shapes[2]}")
     _check_block(block)
     _check_tau(tau)
     _check_alpha(alpha)

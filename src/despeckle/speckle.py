@@ -43,7 +43,8 @@ _RAYLEIGH_SCALE = math.sqrt(2.0 / math.pi)
 
 @dataclass(frozen=True)
 class SpeckleSpec:
-    """Speckle distribution: kind, look count (gamma only), and RNG seed."""
+    """Speckle distribution: kind, look count, and RNG seed. ``looks`` is
+    checked for every kind, then stored as 1 for single-look rayleigh and exponential."""
 
     kind: str = "gamma"
     looks: int = 3
@@ -58,7 +59,7 @@ class SpeckleSpec:
         if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         # numpy integers are stored as Python ints, so reprs and JSON stay plain
-        object.__setattr__(self, "looks", int(self.looks))
+        object.__setattr__(self, "looks", int(self.looks) if self.kind == "gamma" else 1)
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -123,14 +124,13 @@ def generate_speckle(rows: int, cols: int, spec: SpeckleSpec) -> np.ndarray:
         if not _is_integer(value) or not 1 <= value < 2**63:
             raise ValueError(f"{name} must be a positive integer below 2**63, got {value!r}")
     rows, cols = int(rows), int(cols)
-    looks = spec.looks if spec.kind == "gamma" else 1
     _check_size("field (rows, cols)", (rows, cols))
-    _check_size("one row's uniforms (looks, cols)", (looks, cols))
+    _check_size("one row's uniforms (looks, cols)", (spec.looks, cols))
     field = np.empty((rows, cols), dtype=np.float64)
     bitgen = np.random.PCG64()
     gen = np.random.Generator(bitgen)
     states = _row_states(spec.seed, rows)
-    strips = _strips._bounds(rows, 8 * looks * cols)
+    strips = _strips._bounds(rows, 8 * spec.looks * cols)
     # Every kind draws its L uniforms per pixel (L = 1 but for gamma) into
     # this strip buffer. An array smaller than two strips is one strip, so
     # at 256x256 gamma L=3 it is 1.5 MiB, three times the field. Smaller
@@ -141,7 +141,7 @@ def generate_speckle(rows: int, cols: int, spec: SpeckleSpec) -> np.ndarray:
     # for 0.15 MB less peak RSS. A likely cause, not instrumented, is glibc's
     # dynamic mmap threshold: once this buffer is freed, later 0.5 MiB arrays
     # come from the heap instead of fresh mappings.
-    buf = np.empty((max(s.stop - s.start for s in strips), looks, cols))
+    buf = np.empty((max(s.stop - s.start for s in strips), spec.looks, cols))
     for strip in strips:
         u = buf[: strip.stop - strip.start]
         for i, (state, inc) in enumerate(states[strip]):
@@ -165,7 +165,7 @@ def generate_speckle(rows: int, cols: int, spec: SpeckleSpec) -> np.ndarray:
             # negating the sum equals summing the negated terms, bit for bit
             np.sum(u, axis=1, out=out)
             np.negative(out, out=out)
-            np.divide(out, looks, out=out)
+            np.divide(out, spec.looks, out=out)
     return field
 
 

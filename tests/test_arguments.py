@@ -203,10 +203,13 @@ def test_rejected_argument_is_named_in_the_rules_message(row, value):
 # 2**62 passes the size rules, but the float64 array that it asks for has
 # more bytes than numpy can index, whose own error names no argument.
 TOO_LARGE = {
-    "SpeckleSpec-looks": f"one row's uniforms (looks, cols) = {(2**62, 9)}",
-    "generate_speckle-rows": f"field (rows, cols) = {(2**62, 9)}",
-    "generate_speckle-cols": f"field (rows, cols) = {(8, 2**62)}",
-    "output_surface-grid_n": f"surface (grid_n, grid_n) = {(2**62, 2**62)}",
+    row_id: f"{what} = {shape} is larger than a float64 array that numpy can index"
+    for row_id, what, shape in [
+        ("SpeckleSpec-looks", "one row's uniforms (looks, cols)", (2**62, 9)),
+        ("generate_speckle-rows", "field (rows, cols)", (2**62, 9)),
+        ("generate_speckle-cols", "field (rows, cols)", (8, 2**62)),
+        ("output_surface-grid_n", "surface (grid_n, grid_n)", (2**62, 2**62)),
+    ]
 }
 
 
@@ -216,8 +219,7 @@ TOO_LARGE = {
 def test_size_numpy_cannot_index_names_its_arguments(row):
     with pytest.raises(ValueError) as raised:
         row.call(2**62)
-    message = f"{TOO_LARGE[row.id]} is larger than a float64 array that numpy can index"
-    assert str(raised.value) == message
+    assert str(raised.value) == TOO_LARGE[row.id]
 
 
 @pytest.mark.parametrize("row, value", _acceptances())
@@ -238,6 +240,7 @@ BAD_IMAGES = {
     "None": (np.full((32, 32), None), OBJECT),
     "list-huge-int": ([[10**400] * 32] * 32, OBJECT),
     "masked": (np.ma.masked_less(NOISY, 50.0), MASKED),
+    "nan": (np.where(np.eye(32), np.nan, NOISY), "image contains non-finite pixel values"),
 }
 if np.finfo(np.longdouble).max > np.finfo(np.float64).max:  # where long double is wider
     BAD_IMAGES["longdouble"] = (

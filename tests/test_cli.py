@@ -65,9 +65,9 @@ def _json(**payload):
     return json.dumps(payload) + "\n"
 
 
-def _speckled(spec, maxval):
+def _speckled(spec, looks, maxval):
     out = write_pgm(apply_speckle(CLEAN, spec), maxval)
-    return Out(_json(kind=spec.kind, looks=spec.looks, seed=spec.seed), {"out.pgm": out})
+    return Out(_json(kind=spec.kind, looks=looks, seed=spec.seed), {"out.pgm": out})
 
 
 def _calibrated(spec, cfg=None, epsilon=None, max_iter=100, trace_out=False, **pinned):
@@ -84,8 +84,8 @@ def _despeckled(lam, cfg, maxval):
     return Out(_json(**{"lambda": lam}), {"out.pgm": out})
 
 
-def _filtered(name, kernel, out, maxval):
-    return Out(_json(filter=name, kernel=kernel), {"out.pgm": write_pgm(out, maxval)})
+def _filtered(out, maxval, **payload):
+    return Out(_json(**payload), {"out.pgm": write_pgm(out, maxval)})
 
 
 def _reported(**kwargs):
@@ -99,11 +99,11 @@ def _surface(grid_n):
 
 OK_ROWS = [
     Ok("speckle-gamma-looks4", "speckle clean.pgm out.pgm --kind gamma --looks 4 --seed 9",
-       lambda: _speckled(SpeckleSpec("gamma", 4, 9), 65535)),
+       lambda: _speckled(SpeckleSpec("gamma", 4, 9), 4, 65535)),
     Ok("speckle-rayleigh", "speckle clean.pgm out.pgm --kind rayleigh",
-       lambda: _speckled(SpeckleSpec("rayleigh", 3, 0), 65535)),
+       lambda: _speckled(SpeckleSpec("rayleigh", 3, 0), 1, 65535)),
     Ok("speckle-exponential", "speckle clean.pgm out.pgm --kind exponential --seed 1",
-       lambda: _speckled(SpeckleSpec("exponential", 3, 1), 65535)),
+       lambda: _speckled(SpeckleSpec("exponential", 3, 1), 1, 65535)),
     Ok("calibrate-db2-soft-trace",
        "calibrate clean.pgm --seed 4 --wavelet db2 --shrink soft --trace-out trace.csv",
        lambda: _calibrated(SpeckleSpec(seed=4), PipelineConfig("db2", "soft"), trace_out=True)),
@@ -119,15 +119,15 @@ OK_ROWS = [
     Ok("despeckle-zero-is-identity", "despeckle clean.pgm out.pgm --lambda 0",
        lambda: Out(_json(**{"lambda": 0.0}), {"out.pgm": INPUTS["clean.pgm"]})),
     Ok("baseline-median-k3", "baseline noisy.f64 out.pgm",
-       lambda: _filtered("median", 3, median_filter_homomorphic(NOISY, 3), 65535)),
+       lambda: _filtered(median_filter_homomorphic(NOISY, 3), 65535, filter="median", kernel=3)),
     Ok("baseline-median-k5", "baseline noisy.f64 out.pgm --filter median --kernel 5",
-       lambda: _filtered("median", 5, median_filter_homomorphic(NOISY, 5), 255)),
+       lambda: _filtered(median_filter_homomorphic(NOISY, 5), 255, filter="median", kernel=5)),
     Ok("baseline-lee-defaults", "baseline noisy.f64 out.pgm --filter lee",
-       lambda: _filtered("lee", 3, lee_filter(NOISY, 3, 1.0 / 3.0), 65535)),
+       lambda: _filtered(lee_filter(NOISY, 3, 1.0 / 3.0), 65535, filter="lee", kernel=3, looks=3)),
     Ok("baseline-lee-looks1", "baseline noisy.f64 out.pgm --filter lee --looks 1",
-       lambda: _filtered("lee", 3, lee_filter(NOISY, 3, 1.0), 65535)),
+       lambda: _filtered(lee_filter(NOISY, 3, 1.0), 65535, filter="lee", kernel=3, looks=1)),
     Ok("baseline-lee-k5-looks4", "baseline noisy.f64 out.pgm --filter lee --kernel 5 --looks 4",
-       lambda: _filtered("lee", 5, lee_filter(NOISY, 5, 0.25), 65535)),
+       lambda: _filtered(lee_filter(NOISY, 5, 0.25), 65535, filter="lee", kernel=5, looks=4)),
     Ok("metrics-defaults", "metrics clean.pgm noisy.f64 despeckled.f64", _reported),
     Ok("metrics-block-tau-alpha",
        "metrics clean.pgm noisy.f64 despeckled.f64 --block 16 --tau 0.3 --alpha 0.5",

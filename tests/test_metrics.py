@@ -1,5 +1,4 @@
 import pickle
-import re
 
 import numpy as np
 import pytest
@@ -61,66 +60,6 @@ def test_msd():
     a, b = rng.uniform(0, 255, (2, 9, 9))
     assert msd(a, b) == pytest.approx(((a - b) ** 2).sum() / a.size, rel=1e-12)
     assert msd(a, b) == msd(b, a)
-    with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 2\) vs \(3, 2\)$"):
-        msd(np.zeros((2, 2)), np.zeros((3, 2)))
-
-
-def _levels_near_1e160(seed, shape=(64, 64)):
-    # finite gray levels whose squares overflow float64
-    return (1.0 + np.random.default_rng(seed).uniform(size=shape)) * 1e160
-
-
-def _alternating_signs_1e160():
-    # 4x4 tiles of +-1e160 in a checkerboard: every tile's mean is exactly 0
-    # and its variance overflows, so its ratio would read 0
-    rows, cols = np.indices((8, 8))
-    return np.where((rows + cols) % 2 == 0, 1e160, -1e160)
-
-
-@pytest.mark.parametrize(
-    "figure, call",
-    [
-        ("NMV", lambda: nmv_nv_nsd(np.full((64, 64), 1e305))),
-        ("NV", lambda: nmv_nv_nsd(_levels_near_1e160(0))),
-        ("MSD", lambda: msd(_levels_near_1e160(0), _levels_near_1e160(1))),
-        ("ENL", lambda: enl_blocked(_levels_near_1e160(0), 16)),
-        # means of 1.5e154 whose squares overflow over variances that do not
-        ("ENL", lambda: enl_blocked(_levels_near_1e160(0) * 1e-6, 16)),
-        ("ENL", lambda: enl_blocked(_alternating_signs_1e160(), 4)),
-        # DR's statistics come from nmv_nv_nsd, which names the figure that
-        # overflowed; standardizing by a tiny NSD overflows DR itself
-        ("NV", lambda: deflection_ratio(_levels_near_1e160(0), _levels_near_1e160(1))),
-        ("DR", lambda: deflection_ratio(np.full((1, 2), 1e300), np.array([[0.0, 2e-10]]))),
-    ],
-    ids=["nmv", "nv", "msd", "enl", "enl-mean-squared", "enl-variance", "dr-stats", "dr"],
-)
-def test_figures_raise_on_overflow(figure, call):
-    # an overflowed figure must not come back as inf, NaN or a plausible 0.0
-    with pytest.raises(OverflowError, match=f"^{figure} overflowed to a non-finite value$"):
-        call()
-
-
-def _distinct_levels(low, seed=0, shape=(50, 50)):
-    # distinct finite gray levels in [low, 2 low)
-    return np.random.default_rng(seed).uniform(low, 2.0 * low, size=shape)
-
-
-@pytest.mark.parametrize(
-    "figure, call",
-    [
-        # deviations near 1e-170 square below the smallest subnormal
-        ("NV", lambda: nmv_nv_nsd(_distinct_levels(1e-170))),
-        ("ENL", lambda: enl_blocked(_distinct_levels(1e-170))),
-        # DR's statistics come from nmv_nv_nsd, which names the figure
-        ("NV", lambda: deflection_ratio(_distinct_levels(1e-170), _distinct_levels(1e-170))),
-        ("MSD", lambda: msd(_distinct_levels(1e-310), 1.5 * _distinct_levels(1e-310))),
-    ],
-    ids=["nv", "enl", "dr-stats", "msd"],
-)
-def test_figures_raise_on_underflow(figure, call):
-    # a figure of pixels that differ must not come back as an exact 0.0
-    with pytest.raises(ValueError, match=f"^{figure} underflowed to 0 on pixels that differ$"):
-        call()
 
 
 # ---------------------------------------------------------------- ENL
@@ -141,16 +80,6 @@ def test_enl_blocked_discards_partial_tiles():
     ]
     oracle = np.mean([t.mean() ** 2 / t.var() for t in tiles])
     assert enl_blocked(img, 25) == pytest.approx(oracle, rel=1e-12)
-
-
-def test_enl_blocked_constant_image_raises():
-    with pytest.raises(ValueError, match="constant"):
-        enl_blocked(np.full((50, 50), 3.0), 25)
-
-
-def test_enl_blocked_block_larger_than_image():
-    with pytest.raises(ValueError, match="smaller"):
-        enl_blocked(np.zeros((10, 10)), 25)
 
 
 def test_enl_blocked_skips_constant_tiles():
@@ -175,17 +104,6 @@ def test_deflection_ratio_shift():
     img = rng.uniform(0, 255, size=(20, 20))
     _, _, sd = nmv_nv_nsd(img)
     assert deflection_ratio(img + 5.0, img) == pytest.approx(5.0 / sd, rel=1e-10)
-
-
-def test_deflection_ratio_rejects_constant_source():
-    with pytest.raises(ValueError):
-        deflection_ratio(np.ones((4, 4)), np.ones((4, 4)))
-
-
-def test_deflection_ratio_rejects_shape_mismatch():
-    img = np.random.default_rng(26).uniform(0, 255, size=(4, 4))
-    with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 2\) vs \(2, 3\)$"):
-        deflection_ratio(np.ones((2, 2)), img[:2, :3])
 
 
 # ---------------------------------------------------------------- edges
@@ -327,53 +245,6 @@ def test_fom_single_pixel_at_distance_three():
     assert pratt_fom(detected, ideal, alpha=1.0 / 9.0) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_fom_empty_maps_raise():
-    empty = np.zeros((4, 4), dtype=bool)
-    with pytest.raises(ValueError, match="^both edge maps are empty$"):
-        pratt_fom(empty, empty)
-    detected = empty.copy()
-    detected[0, 0] = True
-    with pytest.raises(ValueError, match="^ideal edge map is empty$"):
-        pratt_fom(detected, empty)
-
-
-def test_edge_maps_must_share_a_shape():
-    with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 2\) vs \(2, 3\)$"):
-        pratt_fom(np.ones((2, 2), dtype=bool), np.ones((2, 3), dtype=bool))
-
-
-def test_nearest_edge_distances_rejects_empty_ideal_map():
-    with pytest.raises(ValueError, match="^ideal edge map is empty$"):
-        nearest_edge_distances(np.ones((3, 3), dtype=bool), np.zeros((3, 3), dtype=bool))
-
-
-@pytest.mark.parametrize("shape", [(8,), (2, 4, 4)], ids=["1-D", "3-D"])
-def test_edge_maps_must_be_2d(shape):
-    # a 3-D pair read with its last axis as columns gave 7.62 for the true
-    # distance sqrt(19) = 4.36, and a 1-D pair raised IndexError
-    detected, ideal = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
-    detected.flat[-1] = ideal.flat[0] = True
-    for figure in (nearest_edge_distances, pratt_fom):
-        with pytest.raises(ValueError, match=re.escape(f"2-D, got shape {shape}")):
-            figure(detected, ideal)
-
-
-# Cast to bool, each of these values would make every pixel an edge.
-NOT_EDGES = {"nan": np.nan, "0.5": 0.5, "2": 2, "-1": -1, "1j": 1j, "str": "no"}
-
-
-@pytest.mark.parametrize("figure", [nearest_edge_distances, pratt_fom])
-@pytest.mark.parametrize("value", NOT_EDGES.values(), ids=NOT_EDGES)
-def test_edge_map_values_must_be_0_or_1(figure, value):
-    ideal = np.zeros((4, 4), dtype=bool)
-    ideal[0] = True
-    bad = np.full((4, 4), value)
-    for name, maps in (("detected", (bad, ideal)), ("ideal", (ideal, bad))):
-        message = f"^{name} edge map must be boolean or hold only 0 and 1$"
-        with pytest.raises(ValueError, match=message):
-            figure(*maps)
-
-
 @pytest.mark.parametrize("figure", [nearest_edge_distances, pratt_fom])
 def test_edge_map_of_0_and_1_gives_the_boolean_bytes(figure):
     clean = make_phantom(64)
@@ -493,36 +364,22 @@ def test_full_report_equals_composition(shape):
     )
 
 
-def test_full_report_shape_mismatch(monkeypatch):
-    calls = _spy_on_figures(monkeypatch)
-    with pytest.raises(ValueError, match=r"^shape mismatch: \(4, 4\), \(4, 4\), \(4, 5\)$"):
-        full_report(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 5)))
-    assert calls == []
-
-
-def _textured():
-    return np.random.default_rng(31).uniform(1.0, 255.0, size=(50, 50))
+TEXTURED = (np.random.default_rng(31).uniform(1.0, 255.0, size=(50, 50)),) * 3
 
 
 @pytest.mark.parametrize(
-    "bad, message",
+    "images, bad, message",
     [
-        ({"block": 2.5}, "block must be >= 2, got 2.5"),
-        ({"block": 1}, "block must be >= 2, got 1"),
-        ({"tau": 1.5}, r"tau must lie in \(0, 1\), got 1.5"),
-        ({"alpha": float("inf")}, "alpha must be positive and finite, got inf"),
+        ((np.zeros((4, 4)),) * 2 + (np.zeros((4, 5)),), {}, "shape mismatch: (4, 4), (4, 4), (4, 5)"),
+        (TEXTURED, {"block": 2.5}, "block must be >= 2, got 2.5"),
+        (TEXTURED, {"block": 1}, "block must be >= 2, got 1"),
+        (TEXTURED, {"tau": 1.5}, "tau must lie in (0, 1), got 1.5"),
+        (TEXTURED, {"alpha": float("inf")}, "alpha must be positive and finite, got inf"),
     ],
-    ids=["block-2.5", "block-1", "tau", "alpha"],
+    ids=["shapes", "block-2.5", "block-1", "tau", "alpha"],
 )
-def test_full_report_checks_arguments_before_any_figure(monkeypatch, bad, message):
+def test_full_report_checks_arguments_before_any_figure(monkeypatch, images, bad, message):
     calls = _spy_on_figures(monkeypatch)
-    img = _textured()
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        full_report(img, img, img, **bad)
-    assert calls == []
-
-
-def test_full_report_rejects_image_smaller_than_one_enl_tile():
-    img = np.arange(400.0).reshape(20, 20)
-    with pytest.raises(ValueError, match=r"image \(20, 20\) smaller than one 25x25 block"):
-        full_report(img, img, img)
+    with pytest.raises(ValueError) as raised:
+        full_report(*images, **bad)
+    assert (str(raised.value), calls) == (message, [])

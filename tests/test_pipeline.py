@@ -72,44 +72,6 @@ def test_initial_threshold_tracks_log_noise_level():
     assert est.delta_mad == pytest.approx(subband_std, rel=0.05)
 
 
-BAD_IMAGES = {
-    "1-D": (np.full(9, 10.0), r"^image must be a non-empty 2-D array, got shape \(9,\)$"),
-    "NaN": (np.where(np.eye(4), np.nan, 10.0), "^image contains non-finite pixel values$"),
-    "negative": (np.where(np.eye(4), -1.0, 10.0), "^log_domain requires non-negative pixels$"),
-}
-# calibrate speckles its clean reference before the log, and scales by its peak
-BAD_CLEAN_IMAGES = {
-    **BAD_IMAGES,
-    "negative": (BAD_IMAGES["negative"][0], "^apply_speckle requires non-negative pixels$"),
-    "zero": (np.zeros((8, 8)), "^clean reference is identically zero$"),
-}
-CHAIN = {
-    "despeckle": (lambda img: despeckle(img, 1.0), BAD_IMAGES),
-    "initial_threshold": (initial_threshold, BAD_IMAGES),
-    "calibrate": (lambda img: calibrate(img, SpeckleSpec(seed=0)), BAD_CLEAN_IMAGES),
-}
-
-
-@pytest.mark.parametrize(
-    "stage, img, message",
-    [
-        pytest.param(stage, img, message, id=f"{stage_id}-{image_id}")
-        for stage_id, (stage, images) in CHAIN.items()
-        for image_id, (img, message) in images.items()
-    ],
-)
-def test_chain_rejects_bad_images(stage, img, message):
-    with pytest.raises(ValueError, match=message):
-        stage(img)
-
-
-def test_initial_threshold_rejects_too_small_image():
-    with pytest.raises(ValueError, match=r"image \(2, 2\).*'cdd' subband holds 1 coefficient"):
-        initial_threshold(np.full((2, 2), 10.0))
-    with pytest.raises(ValueError, match=r"image \(2, 2\)"):
-        calibrate(np.full((2, 2), 10.0), SpeckleSpec(kind="gamma", looks=3, seed=1))
-
-
 def test_initial_threshold_runs_no_full_analysis(monkeypatch):
     # The seed reads only the diagonal block, so no dwt2 runs; the estimate
     # equals the one taken from the full analysis.
@@ -193,11 +155,6 @@ def test_calibrate_best_lambda_no_mse_regression():
     mse_star = float(((despeckle(noisy, result.lambda_star) - clean) ** 2).mean())
     mse_seed = float(((despeckle(noisy, result.trace[0].lam) - clean) ** 2).mean())
     assert mse_star <= mse_seed + 1e-12
-
-
-def test_calibrate_overflow_raises_naming_the_speckled_image():
-    with pytest.raises(OverflowError, match="^speckled image overflowed to a non-finite value$"):
-        calibrate(np.full((8, 8), 1.7e308), SpeckleSpec(kind="rayleigh", seed=1))
 
 
 def test_calibrate_stop_reason_decides_converged():
@@ -572,16 +529,6 @@ def test_lee_zero_noise_is_identity():
     assert_allclose(lee_filter(img, 3, 0.0), img, rtol=0, atol=1e-10)
 
 
-def test_lee_overflow_raises_naming_the_statistic():
-    # finite gray levels whose local mean of squares overflows float64: a
-    # NaN variance would turn every gain into 0 and return the local mean
-    img = np.random.default_rng(41).gamma(3.0, 1.0 / 3.0, size=(16, 16)) * 1e160
-    with pytest.raises(
-        OverflowError, match="^Lee local variance overflowed to a non-finite value$"
-    ):
-        lee_filter(img, 3, 0.0)
-
-
 def test_lee_huge_ratio_returns_the_local_mean():
     # mean^2 * ratio overflows to inf, whose gain is 0, without a warning
     img = np.random.default_rng(42).uniform(0, 255, size=(16, 16))
@@ -594,12 +541,6 @@ def test_lee_smooths_gamma_speckle():
     noisy = apply_speckle(img, SpeckleSpec(kind="gamma", looks=3, seed=13))
     out = lee_filter(noisy, 5, 1.0 / 3.0)
     assert nmv_nv_nsd(out)[1] < nmv_nv_nsd(noisy)[1]
-
-
-@pytest.mark.parametrize("filt", [median_filter_homomorphic, lee_filter])
-def test_baseline_kernel_larger_than_image_is_rejected(filt):
-    with pytest.raises(ValueError, match=r"^kernel 33 larger than image \(16, 16\)$"):
-        filt(np.ones((16, 16)), 33)
 
 
 def test_filters_preserve_shape_and_nonnegativity():

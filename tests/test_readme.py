@@ -1,6 +1,7 @@
 """README.md stays true: its Python API example runs and its re-export list
 names exactly the package namespace; its command-line examples run and it
-names every long option the CLI accepts; every test it names exists."""
+names every long option the CLI accepts, and each command under which it
+gives a "# prints" line prints that line; every test it names exists."""
 
 import re
 import shlex
@@ -61,17 +62,19 @@ def test_cli_flags_match_readme():
 def test_cli_example_runs(tmp_path):
     (tmp_path / "clean.pgm").write_bytes(write_pgm(make_phantom(64), 255))
     block = re.search(r"```sh\n(.*?)```", _CLI, re.DOTALL).group(1)
-    commands = [
-        shlex.split(line)
-        for line in block.replace("\\\n", " ").splitlines()
-        if line.startswith("despeckle ")
-    ]
-    assert {argv[1] for argv in commands} == set(_subparsers())
-    for argv in commands:
+    commands = []  # [argv, the stdout that a "# prints" line under it gives, or None]
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("despeckle "):
+            commands.append([shlex.split(line), None])
+        elif line.startswith("# prints "):
+            commands[-1][1] = line.removeprefix("# prints ") + "\n"
+    assert {argv[1] for argv, _ in commands} == set(_subparsers())
+    for argv, printed in commands:
         proc = subprocess.run(
             [sys.executable, "-m", *argv], cwd=tmp_path, capture_output=True, text=True
         )
         assert proc.returncode == 0, (argv, proc.stderr)
+        assert printed in (None, proc.stdout), (argv, proc.stdout)
 
 
 def test_named_tests_exist():

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from despeckle.metrics import enl_blocked
-from despeckle.speckle import KINDS, SpeckleSpec, _row_states, apply_speckle, generate_speckle
+from despeckle.speckle import SpeckleSpec, _row_states, apply_speckle, generate_speckle
 
 
 @pytest.mark.parametrize(
@@ -38,18 +38,6 @@ def test_fields_are_positive():
 def test_apply_speckle_zero_image():
     out = apply_speckle(np.zeros((8, 8)), SpeckleSpec(seed=3))
     assert_array_equal(out, np.zeros((8, 8)))
-
-
-def test_apply_speckle_rejects_negative_pixels():
-    with pytest.raises(ValueError):
-        apply_speckle(np.array([[-1.0, 2.0]]), SpeckleSpec(seed=0))
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_apply_speckle_overflow_raises_naming_the_image(kind):
-    # finite gray levels near float64's maximum overflow where speckle exceeds 1.06
-    with pytest.raises(OverflowError, match="^speckled image overflowed to a non-finite value$"):
-        apply_speckle(np.full((4, 4), 1.7e308), SpeckleSpec(kind=kind, seed=1))
 
 
 def test_apply_speckle_unbiased_across_seeds():

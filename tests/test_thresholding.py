@@ -23,13 +23,6 @@ def test_mad_sigma_zero_and_even_length():
     assert mad_sigma([1.0, 3.0]) == pytest.approx(2.0 / 0.6745, rel=1e-12)
 
 
-def test_mad_sigma_errors():
-    with pytest.raises(ValueError):
-        mad_sigma([])
-    with pytest.raises(ValueError):
-        mad_sigma([1.0, np.inf])
-
-
 def test_mad_sigma_scale_equivariant():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(101)
@@ -49,12 +42,6 @@ def test_universal_threshold_monotone():
     lam = lambda d, n: universal_threshold(d, n).lam
     assert lam(1.0, 10) < lam(2.0, 10)
     assert lam(1.0, 10) < lam(1.0, 100)
-
-
-def test_universal_threshold_overflow_raises():
-    message = "^universal threshold overflowed to a non-finite value$"
-    with pytest.raises(OverflowError, match=message):
-        universal_threshold(1e308, 10)
 
 
 def test_hard_threshold_cases():

@@ -90,20 +90,6 @@ def test_idwt2_linearity():
     assert_allclose(idwt2(mixed, bank), expected, rtol=0, atol=1e-10)
 
 
-def test_subbands_reject_mismatched_blocks():
-    with pytest.raises(ValueError):
-        Subbands(
-            ca=np.zeros((2, 2)),
-            chd=np.zeros((2, 3)),
-            cvd=np.zeros((2, 2)),
-            cdd=np.zeros((2, 2)),
-            shape=(4, 4),
-        )
-    blocks = {name: np.zeros((2, 2)) for name in ("ca", "chd", "cvd", "cdd")}
-    with pytest.raises(ValueError, match="does not match"):
-        Subbands(**blocks, shape=(5, 4))
-
-
 def test_shift_covariance():
     rng = np.random.default_rng(8)
     bank = "db2"
