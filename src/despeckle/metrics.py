@@ -130,6 +130,11 @@ def _check_block(block) -> None:
         raise ValueError(f"block must be >= 2, got {block!r}")
 
 
+def _check_tiles(shape: tuple, block: int) -> None:
+    if len(shape) == 2 and 0 < min(shape) < block:  # as_image names other shapes
+        raise ValueError(f"image {shape} smaller than one {block}x{block} block")
+
+
 def enl_blocked(img, block: int = 25) -> float:
     """Mean of per-tile ``mean^2 / var`` over full non-overlapping tiles.
 
@@ -141,10 +146,9 @@ def enl_blocked(img, block: int = 25) -> float:
     arr = as_image(img)
     _check_block(block)
     block = int(block)  # band sizes in a small numpy integer's dtype overflow
+    _check_tiles(arr.shape, block)
     n_r = arr.shape[0] // block
     n_c = arr.shape[1] // block
-    if n_r == 0 or n_c == 0:
-        raise ValueError(f"image {arr.shape} smaller than one {block}x{block} block")
     # numpy reduces each row of an axis=1 mean or var on its own, so a
     # tile's figures are the same in every band
     means = np.empty(n_r * n_c)
@@ -388,6 +392,7 @@ def full_report(
     if not shapes[0] == shapes[1] == shapes[2]:
         raise ValueError(f"shape mismatch: {shapes[0]}, {shapes[1]}, {shapes[2]}")
     _check_block(block)
+    _check_tiles(shapes[0], block)
     _check_tau(tau)
     _check_alpha(alpha)
     nmv, nv, _ = nmv_nv_nsd(despeckled)

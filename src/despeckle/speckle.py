@@ -15,7 +15,7 @@ Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
 Generation", 2014) computes the half that every row shares, its ``pool``;
 the rows' spawn-key mixing and PCG64 seeding are done here. Under NEP 19
 (numpy.org/neps/nep-0019-rng-policy.html) both streams are stable, and a
-tier-1 test compares the derived states with numpy's own.
+tier-1 test compares the fields with rows drawn by numpy's own generators.
 
 One generator is re-seeded per row and draws the row's uniforms, L per
 pixel for gamma and one for the other kinds, into a strip-sized buffer;

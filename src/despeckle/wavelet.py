@@ -127,9 +127,9 @@ class Subbands:
     shape: tuple
 
     def __post_init__(self):
-        shapes = {self.ca.shape, self.chd.shape, self.cvd.shape, self.cdd.shape}
-        if len(shapes) != 1:
-            raise ValueError(f"subband blocks must share dimensions, got {shapes}")
+        if not self.ca.shape == self.chd.shape == self.cvd.shape == self.cdd.shape:
+            got = ", ".join(f"{n} {getattr(self, n).shape}" for n in ("ca", "chd", "cvd", "cdd"))
+            raise ValueError(f"subband blocks must share dimensions, got {got}")
         rows, cols = self.shape
         if ((rows + 1) // 2, (cols + 1) // 2) != self.ca.shape:
             raise ValueError(

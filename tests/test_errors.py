@@ -170,7 +170,8 @@ ROWS = [
         lambda: full_report(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 5))), V,
         "shape mismatch: (4, 4), (4, 4), (4, 5)"),
     Row("Subbands-blocks", lambda: Subbands(**BLOCKS | {"chd": np.zeros((2, 3))}, shape=(4, 4)),
-        V, "subband blocks must share dimensions, got {(2, 3), (2, 2)}"),
+        V, "subband blocks must share dimensions, got "
+        "ca (2, 2), chd (2, 3), cvd (2, 2), cdd (2, 2)"),
     Row("Subbands-shape", lambda: Subbands(**BLOCKS, shape=(5, 4)), V,
         "image shape (5, 4) does not match subband blocks (2, 2)"),
     *(Row(f"{filt.__name__}-kernel-33", lambda filt=filt: filt(np.ones((16, 16)), 33), V,

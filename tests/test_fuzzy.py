@@ -31,14 +31,6 @@ def test_fuzzify_clamps():
     assert fuzzify(float("-inf")) == fuzzify(-1.0)
 
 
-def test_fuzzify_examples():
-    grades = fuzzify(0.5)
-    assert grades == {"NB": 0.0, "NS": 0.0, "AZ": 0.0, "PS": 1.0, "PB": 0.0}
-    grades = fuzzify(0.25)
-    assert grades["PS"] == 0.5 and grades["AZ"] == 0.5
-    assert grades["NB"] == grades["NS"] == grades["PB"] == 0.0
-
-
 # the rule table's rows and columns follow LABEL_CENTERS order
 LABELS = tuple(LABEL_CENTERS)
 

@@ -120,20 +120,6 @@ def test_detail_energy_non_increasing_in_threshold(img, name, shrink, lams):
     assert all(later <= earlier for earlier, later in zip(energies, energies[1:]))
 
 
-@given(
-    rows=st.tuples(st.integers(1, 40), st.integers(1, 40)),
-    cols=st.integers(1, 40),
-    kind=st.sampled_from(KINDS),
-    looks=st.integers(1, 4),
-    seed=st.integers(0, 2**64 - 1),
-)
-def test_speckle_row_is_independent_of_row_count(rows, cols, kind, looks, seed):
-    spec = SpeckleSpec(kind=kind, looks=looks, seed=seed)
-    a, b = (generate_speckle(n, cols, spec) for n in rows)
-    common = min(rows)
-    assert a[:common].tobytes() == b[:common].tobytes()
-
-
 def _per_row_speckle(rows, cols, spec):
     """The field as one spawned generator per row and one transform per
     row: the reference that generate_speckle must match byte for byte."""
@@ -159,6 +145,10 @@ def _per_row_speckle(rows, cols, spec):
     looks=st.integers(1, 20),
     seed=st.integers(0, 2**64 - 1),
 )
+# seeds on both sides of the 32-bit boundary, and more rows than one byte counts
+@example(rows=300, cols=2, kind="gamma", looks=3, seed=2**32 - 1)
+@example(rows=300, cols=2, kind="rayleigh", looks=1, seed=2**32)
+@example(rows=300, cols=2, kind="exponential", looks=1, seed=2**64 - 1)
 def test_speckle_equals_per_row_oracle(rows, cols, kind, looks, seed):
     spec = SpeckleSpec(kind=kind, looks=looks, seed=seed)
     expected = _per_row_speckle(rows, cols, spec).tobytes()
