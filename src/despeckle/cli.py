@@ -32,7 +32,7 @@ from .pipeline import (
     median_filter_homomorphic,
     trace_to_csv,
 )
-from .speckle import KINDS, SpeckleSpec, apply_speckle
+from .speckle import KINDS, SpeckleSpec, _check_looks, apply_speckle
 from .wavelet import SUPPORTED_BANKS
 
 __all__ = ["main"]
@@ -108,8 +108,7 @@ def cmd_despeckle(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    if args.looks < 1:
-        raise ValueError(f"looks must be a positive integer, got {args.looks}")
+    _check_looks(args.looks)
     img = _read_image(args.input)
     payload = {"filter": args.filter, "kernel": args.kernel}
     if args.filter == "median":
@@ -219,6 +218,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,12 @@
 """End-to-end despeckling chains and threshold calibration.
 
-The shrinkage path is homomorphic: add 1, take the natural logarithm
-(turning multiplicative speckle into additive noise), run a single-level
-2-D wavelet analysis, shrink the three detail subbands at a threshold
-(the approximation is untouched), reconstruct, exponentiate, and
-subtract 1. :func:`despeckle` runs it once at a given threshold.
+The shrinkage path is homomorphic, in three steps: analyse (add 1, take
+the natural logarithm, turning multiplicative speckle into additive
+noise, and run a single-level 2-D wavelet analysis), shrink the three
+detail subbands at a threshold into fresh blocks (the approximation is
+untouched), and synthesise (reconstruct, exponentiate, subtract 1).
+:func:`despeckle` runs each step once; :func:`calibrate` analyses once
+and shrinks and synthesises once per threshold it tries.
 
 Calibration closes a feedback loop around that chain: synthetic speckle
 with a chosen distribution is applied to a clean reference, the threshold
@@ -143,21 +145,18 @@ def _analyse(img, cfg: PipelineConfig) -> Subbands:
     return dwt2(log_domain(img), cfg.wavelet)
 
 
-def _synthesise(sub: Subbands, lam: float, cfg: PipelineConfig, shrunk: tuple) -> np.ndarray:
-    """Shrink the detail subbands of ``sub`` at ``lam`` into ``shrunk``,
-    reconstruct and leave the log domain.
-
-    ``shrunk`` is three arrays of the blocks' shape: ``sub``'s own ``chd``,
-    ``cvd`` and ``cdd``, which are then overwritten, or buffers that keep
-    ``sub`` for another threshold. Either way only one block's shrinkage
-    temporaries are alive at a time, and idwt2's fresh output, finite by
-    construction, is exponentiated in place without an image check.
-    """
+def _shrink(sub: Subbands, lam: float, cfg: PipelineConfig) -> Subbands:
+    """``sub`` with its detail subbands shrunk at ``lam`` into fresh blocks;
+    ``sub`` itself is only read."""
     shrink = SHRINKERS[cfg.shrink]
-    for block, dst in zip((sub.chd, sub.cvd, sub.cdd), shrunk):
-        np.copyto(dst, shrink(block, lam))
-    chd, cvd, cdd = shrunk
-    log_out = idwt2(replace(sub, chd=chd, cvd=cvd, cdd=cdd), cfg.wavelet)
+    chd, cvd, cdd = (shrink(block, lam) for block in (sub.chd, sub.cvd, sub.cdd))
+    return replace(sub, chd=chd, cvd=cvd, cdd=cdd)
+
+
+def _synthesise(sub: Subbands, cfg: PipelineConfig) -> np.ndarray:
+    """Reconstruct ``sub`` and leave the log domain. idwt2's fresh output,
+    finite by construction, is exponentiated in place without an image check."""
+    log_out = idwt2(sub, cfg.wavelet)
     out = _exp_domain(log_out, log_out)
     return np.maximum(out, 0.0, out=out)
 
@@ -248,9 +247,6 @@ def calibrate(
     step = 0.1 * lam0 if lam0 > 0 else 1.0
     details = (sub.chd, sub.cvd, sub.cdd)
     top = float(max(max(d.max(), -d.min()) for d in details))
-    # every iteration shrinks the same analysis, so the shrunk details go to
-    # buffers allocated once per call
-    shrunk = tuple(np.empty_like(d) for d in details)
 
     def survivors(lam):  # #(|d| > lam), counted without a full-size temporary
         return sum(np.count_nonzero(d > lam) + np.count_nonzero(d < -lam) for d in details)
@@ -261,7 +257,7 @@ def calibrate(
     best = 0  # index of the first step with the smallest |e| so far
     for i in range(max_iter):
         # clean is validated above and _synthesise checks its output
-        e = scalarize(clean - _synthesise(sub, lam, cfg, shrunk)).e
+        e = scalarize(clean - _synthesise(_shrink(sub, lam, cfg), cfg)).e
         de = e - (trace[-1].e if trace else 0.0)
         dlam = -step * control_step(e * scale, de * scale)
         trace.append(TraceStep(e=e, de=de, dlambda=dlam, lam=lam))
@@ -286,9 +282,8 @@ def despeckle(noisy, lambda_star: float, cfg: PipelineConfig | None = None) -> n
     ``lambda_star``: apply a calibrated threshold open-loop to a new image."""
     cfg = cfg or PipelineConfig()
     _check_threshold(lambda_star)
-    sub = _analyse(noisy, cfg)
-    # the analysis is this call's own, so its details are shrunk in place
-    return _synthesise(sub, lambda_star, cfg, (sub.chd, sub.cvd, sub.cdd))
+    # no name holds the analysis, so its details are freed once shrunk
+    return _synthesise(_shrink(_analyse(noisy, cfg), lambda_star, cfg), cfg)
 
 
 def _check_kernel(kernel: int, shape) -> None:

@@ -41,6 +41,11 @@ KINDS = ("rayleigh", "exponential", "gamma")
 _RAYLEIGH_SCALE = math.sqrt(2.0 / math.pi)
 
 
+def _check_looks(looks) -> None:
+    if not _is_integer(looks) or not 1 <= looks < 2**63:
+        raise ValueError(f"looks must be a positive integer below 2**63, got {looks!r}")
+
+
 @dataclass(frozen=True)
 class SpeckleSpec:
     """Speckle distribution: kind, look count, and RNG seed. ``looks`` is
@@ -54,8 +59,7 @@ class SpeckleSpec:
         # no hashing of other types
         if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"unknown speckle kind {self.kind!r}; supported: {KINDS}")
-        if not _is_integer(self.looks) or not 1 <= self.looks < 2**63:
-            raise ValueError(f"looks must be a positive integer below 2**63, got {self.looks!r}")
+        _check_looks(self.looks)
         if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         # numpy integers are stored as Python ints, so reprs and JSON stay plain

@@ -156,7 +156,7 @@ class Fails(NamedTuple):
 
 
 THRESHOLD = "threshold must be a non-negative number, got {}"
-LOOKS = "looks must be a positive integer, got {}"
+LOOKS = "looks must be a positive integer below 2**63, got {}"
 ALPHA = "alpha must be positive and finite, got {}"
 SPECKLE_OVERFLOW = _error("speckled image overflowed to a non-finite value")
 USAGE = cli.build_parser().format_usage()
@@ -182,6 +182,17 @@ FAIL_ROWS = [
           _error(LOOKS.format(0))),
     Fails("baseline-median-looks-2", "baseline clean.pgm out.pgm --filter median --looks -2",
           _error(LOOKS.format(-2))),
+    Fails("baseline-lee-looks-10**400",
+          f"baseline clean.pgm out.pgm --filter lee --looks {10**400}",
+          _error(LOOKS.format(10**400))),
+    Fails("baseline-median-looks-2**63",
+          f"baseline clean.pgm out.pgm --filter median --looks {2**63}",
+          _error(LOOKS.format(2**63))),
+    # one row's uniforms are 512 PiB, more than any address space holds, so
+    # the allocation fails at once
+    Fails("speckle-out-of-memory", f"speckle clean.pgm out.pgm --looks {2**50}",
+          _error(f"Unable to allocate 512. PiB for an array with shape (1, {2**50}, 64) "
+                 "and data type float64")),
     Fails("metrics-alpha-nan", "metrics clean.pgm noisy.f64 despeckled.f64 --alpha nan",
           _error(ALPHA.format("nan"))),
     Fails("metrics-alpha-inf", "metrics clean.pgm noisy.f64 despeckled.f64 --alpha inf",

@@ -21,7 +21,7 @@ from despeckle import (
 )
 from despeckle.image import exp_domain, log_domain
 from despeckle.metrics import detect_edges, pratt_fom
-from despeckle.pipeline import _analyse, _synthesise, lee_filter, median_filter_homomorphic
+from despeckle.pipeline import _analyse, _shrink, _synthesise, lee_filter, median_filter_homomorphic
 
 from conftest import make_phantom
 
@@ -65,9 +65,8 @@ def status():
                 # the grid's outputs as calibrate makes them: one analysis,
                 # one synthesis per threshold, each equal to despeckle's
                 sub = _analyse(noisy, cfg)
-                shrunk = tuple(np.empty_like(d) for d in (sub.chd, sub.cvd, sub.cdd))
                 grid = np.linspace(0.0, 3.0 * lam0, GRID_POINTS)
-                best = min(msd(clean, _synthesise(sub, lam, cfg, shrunk)) for lam in grid)
+                best = min(msd(clean, _synthesise(_shrink(sub, lam, cfg), cfg)) for lam in grid)
                 grid_ratio[name] = msd(clean, outputs[f"chain {name}, λ0"]) / best
             outputs[MEDIAN] = median_filter_homomorphic(noisy, 3)
             outputs[LEE] = lee_filter(noisy, 5, VARIANCE[kind])
